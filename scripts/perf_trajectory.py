@@ -18,11 +18,12 @@ Inputs (any mix, in any order):
 Output: ``PERF_TRAJECTORY.md`` (human) + ``PERF_TRAJECTORY.json`` (machine),
 both pure functions of the inputs — no timestamps, no environment probes —
 so the report is diffable across CI runs and PRs.  Exit status is non-zero
-when any benchmark row breaks its budget (CI uses this as the perf gate);
-``--no-fail`` downgrades regressions to warnings.  ``--history PATH``
-threads a run-indexed trend file through the gate: the previous entry feeds
-a ``Δ prev`` column and the current bench rows are appended (no
-timestamps, so the file stays deterministic per run sequence).
+when any benchmark row breaks its budget (CI uses this as the perf gate)
+and, with no report written, when any input is missing, unreadable or not a
+recognized payload (exit 2); ``--no-fail`` downgrades both to warnings.
+``--history PATH`` threads a run-indexed trend file through the gate: the
+previous entry feeds a ``Δ prev`` column and the current bench rows are
+appended (no timestamps, so the file stays deterministic per run sequence).
 
 Usage::
 
@@ -150,6 +151,8 @@ def _load_obs_jsonl(path: str) -> Dict[str, object]:
     lines each carrying a full ``obs`` blob, plus one pre-folded ``merged``
     line) and the sharded merged export (``write_blob_jsonl``).  When a
     ``merged`` line is present it wins over re-summing the task lines.
+    ``None`` when the file carries no ``repro-obs/v1`` meta line or holds
+    anything but JSON objects.
     """
     counters: Dict[str, float] = {}
     spans: Dict[str, Dict[str, object]] = {}
@@ -158,14 +161,19 @@ def _load_obs_jsonl(path: str) -> Dict[str, object]:
     summary_kinds: Dict[str, float] = {}
     merged_blob: Optional[Dict[str, object]] = None
     tasks = 0
+    schema = None
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             entry = json.loads(line)
+            if not isinstance(entry, dict):
+                return None
             kind = entry.get("type")
-            if kind == "counter":
+            if kind == "meta":
+                schema = entry.get("schema")
+            elif kind == "counter":
                 counters[entry["name"]] = counters.get(entry["name"], 0) + entry["value"]
             elif kind == "span":
                 spans[entry["name"]] = entry
@@ -199,6 +207,8 @@ def _load_obs_jsonl(path: str) -> Dict[str, object]:
                 for record in events.get("records", ()):
                     event_times.setdefault(record["kind"], []).append(
                         record["sim_time"])
+    if schema != OBS_SCHEMA:
+        return None
     event_kinds = summary_kinds or line_kinds
     if merged_blob is not None:
         counters = dict(merged_blob.get("counters", {}))
@@ -375,7 +385,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="machine-readable report path (default: %(default)s)")
     parser.add_argument("--no-fail", action="store_true",
                         help="exit 0 even when a benchmark row breaks its "
-                             "budget (regressions still reported)")
+                             "budget (regressions still reported) and skip "
+                             "unreadable or unrecognized inputs instead of "
+                             "failing on them")
     parser.add_argument("--history", default=None, metavar="PATH",
                         help="run-indexed trend file (e.g. "
                              "PERF_TRAJECTORY_HISTORY.jsonl): the previous "
@@ -390,17 +402,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     sections = []
+    unusable = []
     for path in paths:
         try:
             section = load_input(path)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            print(f"perf_trajectory: skipping {path}: {exc}", file=sys.stderr)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            # ValueError covers malformed JSON and undecodable bytes.
+            unusable.append(f"{path}: {exc}")
             continue
         if section is None:
-            print(f"perf_trajectory: skipping {path}: unrecognized payload",
-                  file=sys.stderr)
+            unusable.append(f"{path}: unrecognized payload")
             continue
         sections.append(section)
+    # Fail closed: a benchmark that crashed before writing its artifact must
+    # not pass the gate by going missing.
+    for problem in unusable:
+        verdict = "skipping" if args.no_fail else "unusable input"
+        print(f"perf_trajectory: {verdict} {problem}", file=sys.stderr)
+    if unusable and not args.no_fail:
+        return 2
     if not sections:
         print("perf_trajectory: no parseable inputs", file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ with:
   idempotent r-operator the stabilization proofs rely on.
 
 Every identity occurrence carries a :class:`~repro.core.identity.Mark`.
-Instances are immutable; all operations return new lists.
+Instances are immutable; all operations return new lists.  Only the public
+constructor and :meth:`AncestorList.from_wire` normalise arbitrary input; the
+operations build canonical levels directly from canonical operands, and
+:meth:`AncestorList.ant_all` folds any number of lists in one pass.
 """
 
 from __future__ import annotations
@@ -29,24 +32,32 @@ __all__ = ["AncestorList", "WireList"]
 WireList = Tuple[Tuple[Tuple[NodeId, int], ...], ...]
 
 
-def _normalize(levels: Sequence[Mapping[NodeId, Mark]],
-               dedupe: bool = True) -> Tuple[Dict[NodeId, Mark], ...]:
-    """Canonicalize levels: optional cross-level dedup, strip trailing empties."""
+#: Wire int -> Mark member: decoding through this table hands out the members
+#: themselves instead of re-boxing every entry with ``Mark(x)``.
+_WIRE_MARKS = {int(mark): mark for mark in Mark}
+
+#: Level index :meth:`AncestorList._fold` reads for an identity not placed yet.
+_ABSENT = 1 << 62
+
+
+def _normalize(levels: Sequence[Mapping[NodeId, Mark]]) -> Tuple[Dict[NodeId, Mark], ...]:
+    """Canonicalize levels: cross-level dedup, strip trailing empties."""
     cleaned: list = []
     seen: Dict[NodeId, int] = {}
     for index, level in enumerate(levels):
         new_level: Dict[NodeId, Mark] = {}
         for node, mark in level.items():
-            mark = Mark(mark)
-            if dedupe and node in seen:
+            if mark.__class__ is not Mark:
+                mark = Mark(mark)
+            if node in seen:
                 # Keep the occurrence at the smallest level; if the duplicate is
                 # at the same level, keep the strongest mark.
                 if seen[node] == index:
                     prev = new_level.get(node, Mark.NONE)
-                    new_level[node] = Mark(max(prev, mark))
+                    new_level[node] = max(prev, mark)
                 continue
             if node in new_level:
-                new_level[node] = Mark(max(new_level[node], mark))
+                new_level[node] = max(new_level[node], mark)
             else:
                 new_level[node] = mark
                 seen[node] = index
@@ -66,18 +77,38 @@ class AncestorList:
         removed (smallest level wins) and trailing empty levels are dropped.
     """
 
-    __slots__ = ("_levels", "_hash")
+    __slots__ = ("_levels", "_hash", "_unmarked")
 
     def __init__(self, levels: Sequence[Mapping[NodeId, Mark]] = ()):
         self._levels = _normalize(levels)
         self._hash: Optional[int] = None
+        self._unmarked: Optional[tuple] = None
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
+    def _canonical(cls, levels: Sequence[Dict[NodeId, Mark]]) -> "AncestorList":
+        """Wrap levels that are already canonical except for trailing empties.
+
+        The caller guarantees that every mark is a :class:`Mark` member and
+        that no identity appears twice; only trailing empty levels are
+        stripped.  The level dicts are taken over, not copied.
+        """
+        end = len(levels)
+        while end and not levels[end - 1]:
+            end -= 1
+        lst = cls.__new__(cls)
+        lst._levels = tuple(levels[:end])
+        lst._hash = None
+        lst._unmarked = None
+        return lst
+
+    @classmethod
     def singleton(cls, node: NodeId, mark: Mark = Mark.NONE) -> "AncestorList":
         """The list ``({node})`` — a node's initial knowledge, or a rejected sender."""
-        return cls(({node: Mark(mark)},))
+        if mark.__class__ is not Mark:
+            mark = Mark(mark)
+        return cls._canonical(({node: mark},))
 
     @classmethod
     def from_levels(cls, levels: Sequence[Iterable[NodeId]]) -> "AncestorList":
@@ -87,7 +118,8 @@ class AncestorList:
     @classmethod
     def from_wire(cls, wire: WireList) -> "AncestorList":
         """Rebuild a list from its wire representation."""
-        return cls(tuple({node: Mark(mark) for node, mark in level} for level in wire))
+        marks = _WIRE_MARKS
+        return cls(tuple({node: marks[mark] for node, mark in level} for level in wire))
 
     # ----------------------------------------------------------------- queries
 
@@ -111,7 +143,9 @@ class AncestorList:
 
     def level_nodes(self, index: int) -> Set[NodeId]:
         """Identities at distance ``index`` regardless of mark."""
-        return set(self.level(index))
+        if 0 <= index < len(self._levels):
+            return set(self._levels[index])
+        return set()
 
     def nodes(self) -> Set[NodeId]:
         """All identities appearing in the list."""
@@ -148,6 +182,10 @@ class AncestorList:
                 return index
         return None
 
+    def positions(self) -> Dict[NodeId, int]:
+        """Mapping identity -> level index, marked identities included."""
+        return {node: index for index, level in enumerate(self._levels) for node in level}
+
     def mark_of(self, node: NodeId) -> Optional[Mark]:
         """Mark carried by ``node`` or ``None`` when absent."""
         for level in self._levels:
@@ -170,15 +208,7 @@ class AncestorList:
 
     def merge(self, other: "AncestorList") -> "AncestorList":
         """The ``⊕`` operator: level-wise union with duplicate removal."""
-        merged = []
-        for index in range(max(len(self._levels), len(other._levels))):
-            level: Dict[NodeId, Mark] = {}
-            for source in (self, other):
-                if index < len(source._levels):
-                    for node, mark in source._levels[index].items():
-                        level[node] = Mark(max(level.get(node, Mark.NONE), mark))
-            merged.append(level)
-        return AncestorList(merged)
+        return self._fold((other,), 0)
 
     def __or__(self, other: "AncestorList") -> "AncestorList":
         return self.merge(other)
@@ -186,18 +216,56 @@ class AncestorList:
     def shifted(self) -> "AncestorList":
         """The ``r`` endomorphism: prepend an empty level (one additional hop)."""
         if not self._levels:
-            return AncestorList()
-        return AncestorList(({},) + self._levels)
+            return AncestorList._canonical(())
+        return AncestorList._canonical(({},) + self._levels)
 
     def ant(self, other: "AncestorList") -> "AncestorList":
         """The ``ant`` r-operator: ``self ⊕ r(other)``."""
-        return self.merge(other.shifted())
+        return self._fold((other,), 1)
+
+    def ant_all(self, others: Iterable["AncestorList"]) -> "AncestorList":
+        """``ant`` folded over ``others`` in order: ``ant(...ant(self, l1)..., lk)``."""
+        return self._fold(others, 1)
+
+    def _fold(self, others: Iterable["AncestorList"], offset: int) -> "AncestorList":
+        """``self ⊕ rᵒ(l1) ⊕ ... ⊕ rᵒ(lk)`` in one pass, ``o = offset`` shifts.
+
+        Gives the list the chain of pairwise merges gives — same levels, same
+        marks, same key order inside every level — without building the
+        intermediate lists.  ``where`` maps every identity placed so far to its
+        level: an identity stays at the smallest level any list offers, with
+        the strongest mark offered at that level, and moves to the end of a
+        smaller level (where the pairwise merge would append it) when a later
+        list offers a shorter path.
+        """
+        levels = [dict(level) for level in self._levels]
+        absent = _ABSENT
+        where = {node: index for index, level in enumerate(self._levels) for node in level}
+        get = where.get
+        for other in others:
+            for index, level in enumerate(other._levels, offset):
+                while len(levels) <= index:
+                    levels.append({})
+                target = levels[index]
+                for node, mark in level.items():
+                    current = get(node, absent)
+                    if current < index:
+                        continue
+                    if current == index:
+                        if mark > target[node]:
+                            target[node] = mark
+                        continue
+                    if current != absent:
+                        del levels[current][node]
+                    target[node] = mark
+                    where[node] = index
+        return AncestorList._canonical(levels)
 
     def truncated(self, max_levels: int) -> "AncestorList":
         """Keep the first ``max_levels`` levels (pseudo-code line 28)."""
         if max_levels < 0:
             raise ValueError("max_levels must be non-negative")
-        return AncestorList(self._levels[:max_levels])
+        return AncestorList._canonical(self._levels[:max_levels])
 
     def without_marked(self, keep: Iterable[NodeId] = ()) -> "AncestorList":
         """Remove marked identities except those listed in ``keep``.
@@ -212,7 +280,7 @@ class AncestorList:
         for level in self._levels:
             levels.append({node: mark for node, mark in level.items()
                            if mark is Mark.NONE or node in keep})
-        return AncestorList(levels)
+        return AncestorList._canonical(levels)
 
     def sanitized_for(self, receiver: NodeId) -> "AncestorList":
         """Apply the reception filtering of pseudo-code line 2 for ``receiver``.
@@ -225,28 +293,63 @@ class AncestorList:
         neighbour's list so that the incompatibility is detected reciprocally
         (the subsequent ``goodList`` test then fails and only the sender's
         identity is kept, single-marked).
+
+        The receiver-independent part (the list without any marked entry) is
+        built on the first call and kept, so a broadcast list filtered for
+        each of its receivers is scanned once; a receiver that is
+        single-marked only gets its own level rebuilt.
         """
+        cached = self._unmarked
+        if cached is None:
+            cached = self._unmarked = self._unmarked_part()
+        unmarked, unmarked_levels, singles = cached
+        index = singles.get(receiver)
+        if index is None:
+            return self if unmarked is None else unmarked
+        levels = list(unmarked_levels)
+        levels[index] = {
+            node: mark for node, mark in self._levels[index].items()
+            if mark is Mark.NONE or (node == receiver and mark is Mark.SINGLE)
+        }
+        return AncestorList._canonical(levels)
+
+    def _unmarked_part(self) -> tuple:
+        """``(list, levels, singles)`` behind :meth:`sanitized_for`.
+
+        ``list`` is this list without its marked entries (``None`` when it
+        has none: the list itself), ``levels`` the same levels before trailing
+        empty ones are stripped, ``singles`` maps every single-marked identity
+        to its level.  Levels without marks are shared, not copied.
+        """
+        none = Mark.NONE
         levels = []
-        for level in self._levels:
-            levels.append({
-                node: mark for node, mark in level.items()
-                if mark is Mark.NONE or (node == receiver and mark is Mark.SINGLE)
-            })
-        return AncestorList(levels)
+        singles: Dict[NodeId, int] = {}
+        marked = False
+        for index, level in enumerate(self._levels):
+            kept = {node: mark for node, mark in level.items() if mark is none}
+            if len(kept) == len(level):
+                levels.append(level)
+                continue
+            marked = True
+            levels.append(kept)
+            for node, mark in level.items():
+                if mark is Mark.SINGLE:
+                    singles[node] = index
+        return (AncestorList._canonical(levels) if marked else None), tuple(levels), singles
 
     def restricted_to(self, members: Iterable[NodeId]) -> "AncestorList":
         """Keep only the (unmarked) identities belonging to ``members``.
 
         Used to measure the span of an *established group* inside a list: the
-        compatibility test compares group spans, not candidate spans (see
-        DESIGN.md, "Compatibility is evaluated between established groups").
+        compatibility test compares group spans, not candidate spans (see the
+        README, "Deviations from the paper's pseudo-code").
         """
         members = set(members)
         levels = []
         for level in self._levels:
             levels.append({node: mark for node, mark in level.items()
                            if node in members and mark is Mark.NONE})
-        return AncestorList(levels)
+        return AncestorList._canonical(levels)
 
     def without_nodes(self, nodes: Iterable[NodeId]) -> "AncestorList":
         """Remove the given identities entirely (used for effective-length computations)."""
@@ -254,7 +357,7 @@ class AncestorList:
         levels = []
         for level in self._levels:
             levels.append({node: mark for node, mark in level.items() if node not in drop})
-        return AncestorList(levels)
+        return AncestorList._canonical(levels)
 
     def stripped(self, receiver: Optional[NodeId] = None) -> "AncestorList":
         """Effective list used by the compatibility test.
@@ -262,25 +365,27 @@ class AncestorList:
         Removes every marked identity and (optionally) the receiver's own
         identity: marked entries are neighbour-local annotations and the
         receiver is not a *new* member brought by the sender, so neither should
-        count towards the prospective group diameter (see DESIGN.md and
-        Proposition 13).
+        count towards the prospective group diameter (see Proposition 13 and
+        the README, "Deviations from the paper's pseudo-code").
         """
         drop: Set[NodeId] = set() if receiver is None else {receiver}
         levels = []
         for level in self._levels:
             levels.append({node: mark for node, mark in level.items()
                            if mark is Mark.NONE and node not in drop})
-        return AncestorList(levels)
+        return AncestorList._canonical(levels)
 
     def relabel_mark(self, node: NodeId, mark: Mark) -> "AncestorList":
         """Return a copy where ``node`` (if present) carries ``mark``."""
+        if mark.__class__ is not Mark:
+            mark = Mark(mark)
         levels = []
         for level in self._levels:
             new_level = dict(level)
             if node in new_level:
-                new_level[node] = Mark(mark)
+                new_level[node] = mark
             levels.append(new_level)
-        return AncestorList(levels)
+        return AncestorList._canonical(levels)
 
     # ---------------------------------------------------------------- equality
 

@@ -11,8 +11,8 @@ whether accepting a new neighbour's list could force the group diameter past
 is rejected — and its sender double-marked — exactly when merging the sender's
 group with the local group cannot be shown to respect the diameter bound.
 
-Interpretation notes (see DESIGN.md for the full discussion)
-------------------------------------------------------------
+Interpretation notes (summarised in the README, "Deviations from the paper's pseudo-code")
+------------------------------------------------------------------------------------------
 * The pseudo-code printed in the arXiv version compares the *entire* candidate
   lists of both nodes.  Taken literally this makes every boundary pair reject
   each other during the initial transient (both candidate lists already span
@@ -93,16 +93,6 @@ def group_span(alist: AncestorList, members: Optional[Iterable[NodeId]] = None,
     return max(len(restricted) - 1, 0)
 
 
-def _positions(alist: AncestorList) -> Dict[NodeId, int]:
-    """Mapping identity -> level, marks included (a marked direct neighbour still
-    witnesses a one-hop path)."""
-    out: Dict[NodeId, int] = {}
-    for index, level in enumerate(alist.levels):
-        for node in level:
-            out.setdefault(node, index)
-    return out
-
-
 def merged_pair_bound(pos_local: Dict[NodeId, int], pos_received: Dict[NodeId, int],
                       x: NodeId, y: NodeId) -> float:
     """Best available upper bound on d(x, y) after the merge (see module docstring)."""
@@ -165,8 +155,9 @@ def compatible_list(local: AncestorList, received: AncestorList, receiver: NodeI
         q = group_span(received, sender_exclusive, exclude={receiver})
         return p + 1 + q <= dmax
 
-    pos_local = _positions(local)
-    pos_received = _positions(received)
+    # Marks included: a marked direct neighbour still witnesses a one-hop path.
+    pos_local = local.positions()
+    pos_received = received.positions()
     # The local node is at distance 0 from itself whatever (possibly corrupted)
     # occurrence of its identity the list contains.
     pos_local[receiver] = 0

@@ -13,12 +13,15 @@ pseudo-code line 8).  A message therefore carries:
   established groups and to attribute group priorities to far candidates.
 
 Messages are plain frozen dataclasses: they can be copied, compared, hashed
-and — importantly for fault-injection experiments — corrupted.
+and — importantly for fault-injection experiments — corrupted.  One message
+object reaches every receiver of a broadcast, so the decoded ancestor list is
+cached on it; the cache takes no part in equality, hashing or pickling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .ancestor_list import AncestorList, WireList
@@ -49,10 +52,19 @@ class GRPMessage:
         return cls(sender=sender, wire_list=alist.to_wire(), priorities=prio,
                    group_priority=group_priority, view=view_tuple)
 
-    @property
+    @cached_property
     def ancestor_list(self) -> AncestorList:
-        """The carried ancestor list, decoded."""
+        """The carried ancestor list, decoded on first access."""
         return AncestorList.from_wire(self.wire_list)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Ship the fields only: a pickled message is the same bytes whether or
+        # not its list has been decoded.
+        state = self.__dict__
+        if "ancestor_list" in state:
+            state = dict(state)
+            del state["ancestor_list"]
+        return state
 
     @property
     def priority_map(self) -> Dict[NodeId, int]:

@@ -64,21 +64,22 @@ class GRPConfig:
         level ``Dmax + 1`` before its providers are double-marked.  Transient
         distance over-estimates produced while the ``ant`` computation is still
         converging disappear within a round or two; acting only on persistent
-        observations prevents spurious group cuts (see DESIGN.md).
+        observations prevents spurious group cuts.  The paper acts at once
+        (``1``); see the README, "Deviations from the paper's pseudo-code".
     neighbor_timeout_rounds:
         Number of consecutive computations a neighbour may stay silent before
         its last message is discarded.  The paper resets the message set at
         every computation (equivalent to ``1``); the default of ``2`` tolerates
         a single missed send window (e.g. a link flapping at the radio-range
         boundary) before declaring that the neighbour left, which is what real
-        beaconing implementations do.
+        beaconing implementations do.  Listed with the other departures in
+        the README, "Deviations from the paper's pseudo-code".
     view_reconciliation:
         Experimental repair of stuck disagreements: when two members of the
         local view persistently double-mark each other, the younger one is
         evicted.  Disabled by default — it helps dense graphs with a tight
         ``Dmax`` escape middle-node disagreement deadlocks, but can delay
-        convergence elsewhere (see the "known limitations" section of
-        DESIGN.md).
+        convergence elsewhere.  The paper has no such step.
     initial_oldness:
         Initial value of the oldness counter.
     """
@@ -295,9 +296,10 @@ class GRPNode(Process):
         # The member with the lower priority (the younger one) is evicted; when
         # it is a direct neighbour the eviction is materialised as a double mark
         # so that the cut propagates, otherwise it is kept out of the view until
-        # the conflict evidence disappears.  (See DESIGN.md: the paper's
-        # conservative growth makes such conflicts impossible by construction;
-        # with liberal growth they are rare but must be repaired.)
+        # the conflict evidence disappears.  (The paper's conservative growth
+        # makes such conflicts impossible by construction; with liberal growth
+        # they are rare but must be repaired.  Off by default, see the README,
+        # "Deviations from the paper's pseudo-code".)
         vetoed = (self._persistent_conflict_losers() if self.config.view_reconciliation
                   else set())
         if vetoed:
@@ -368,11 +370,13 @@ class GRPNode(Process):
             self._obs_head = head
 
     def _combine(self, accepted: Mapping[NodeId, AncestorList]) -> AncestorList:
-        """Fold the accepted lists with ``ant`` starting from the local singleton."""
-        result = AncestorList.singleton(self.node_id)
-        for sender in sorted(accepted, key=str):
-            result = result.ant(accepted[sender])
-        return result
+        """Fold the accepted lists with ``ant`` starting from the local singleton.
+
+        The lists are folded in ``str`` order of their senders, in one pass
+        (:meth:`AncestorList.ant_all`).
+        """
+        return AncestorList.singleton(self.node_id).ant_all(
+            [accepted[sender] for sender in sorted(accepted, key=str)])
 
     def _view_conflict_losers(self) -> Set[NodeId]:
         """Members of the local view evicted because another member double-marked them.

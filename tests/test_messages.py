@@ -1,7 +1,10 @@
 """Unit tests for the GRP wire messages."""
 
+import copy
+import pickle
+
 from repro.core.ancestor_list import AncestorList
-from repro.core.identity import priority_key
+from repro.core.identity import Mark, priority_key
 from repro.core.messages import GRPMessage
 
 from conftest import alist
@@ -43,3 +46,43 @@ class TestGRPMessage:
         m1 = GRPMessage.build("u", lst, priorities={"b": 2, "a": 1})
         m2 = GRPMessage.build("u", lst, priorities={"a": 1, "b": 2})
         assert m1.priorities == m2.priorities
+
+    def test_list_is_decoded_once(self):
+        msg = GRPMessage.build("u", alist({"u"}, {"v"}), priorities={"u": 1})
+        assert msg.ancestor_list is msg.ancestor_list
+
+
+class TestDecodeCache:
+    """The decoded list is a cache: never part of a message's identity."""
+
+    @staticmethod
+    def message():
+        lst = AncestorList(({"u": Mark.NONE}, {"v": Mark.SINGLE, "w": Mark.NONE},
+                            {"x": Mark.DOUBLE}))
+        return GRPMessage.build("u", lst, priorities={"u": 1, "w": 2},
+                                group_priority=priority_key(1, "u"),
+                                view=frozenset({"u", "w"}))
+
+    def test_pickle_bytes_do_not_depend_on_the_cache(self):
+        msg = self.message()
+        before = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        decoded = msg.ancestor_list
+        msg.ancestor_list.sanitized_for("v")
+        after = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        assert after == before
+        assert pickle.dumps(msg) == pickle.dumps(self.message())
+        clone = pickle.loads(after)
+        assert "ancestor_list" not in vars(clone)
+        assert clone == msg
+        assert clone.ancestor_list == decoded
+        # The cache survives pickling the original.
+        assert msg.ancestor_list is decoded
+
+    def test_equality_hash_and_copies_ignore_the_cache(self):
+        read, unread = self.message(), self.message()
+        read.ancestor_list
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert "ancestor_list" not in vars(copy.copy(read))
+        assert copy.deepcopy(read) == unread
