@@ -14,16 +14,23 @@ A *configuration snapshot* consists of the views (mapping node → frozenset of
 members) and the symmetric-link topology graph at that instant.  The metric
 collectors (:mod:`repro.metrics`) call these functions at sampling times; the
 tests call them directly on hand-built configurations.
+
+The boolean predicates stop at the first failure and check diameters with the
+bounded BFS of :func:`repro.net.topology.induced_diameter_ok` on the raw
+adjacency; :func:`evaluate_configuration` computes Ω and that adjacency once
+per snapshot.  The ``*_violations`` functions list every offender in a
+deterministic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Set, Tuple
+from typing import (Collection, Dict, FrozenSet, Hashable, Iterator, List, Mapping, Sequence,
+                    Set, Tuple)
 
 import networkx as nx
 
-from repro.net.topology import merged_diameter_ok, subgraph_diameter
+from repro.net.topology import Adjacency, induced_diameter_ok, subgraph_diameter
 
 __all__ = [
     "Views",
@@ -89,66 +96,92 @@ def agreement_violations(views: Views) -> List[Tuple[NodeId, str]]:
 
 def agreement(views: Views) -> bool:
     """ΠA: the views define a partition on which all members agree."""
-    return not agreement_violations(views)
+    for node, view in views.items():
+        if node not in view:
+            return False
+        for member in view:
+            if views.get(member) != view:
+                return False
+    return True
+
+
+def _group_key(group: FrozenSet[NodeId]) -> List[str]:
+    """Sort key that orders groups independently of PYTHONHASHSEED."""
+    return sorted(map(str, group))
+
+
+def _safe(groups: Collection[FrozenSet[NodeId]], adjacency: Adjacency, dmax: int) -> bool:
+    return all(induced_diameter_ok(adjacency, group, dmax) for group in groups)
+
+
+def _merge_candidates(groups: Sequence[FrozenSet[NodeId]],
+                      adjacency: Adjacency) -> Iterator[Tuple[int, int]]:
+    """Index pairs ``(a, b)``, ``a < b``, of groups joined by a direct edge.
+
+    Ω's groups partition the nodes, so the subgraph over the union of two
+    groups can only be connected — and the merge keep ΠS — when an edge joins
+    them.  On a mostly-singleton configuration this reduces the O(g^2) pair
+    scan to at most one pair per topology edge.  A pair is yielded once per
+    edge joining the two groups.
+    """
+    group_of = {node: index for index, group in enumerate(groups) for node in group}
+    for node_u, neighbours in adjacency.items():
+        index_a = group_of.get(node_u)
+        if index_a is None:
+            continue
+        for node_v in neighbours:
+            index_b = group_of.get(node_v)
+            if index_b is not None and index_a < index_b:
+                yield index_a, index_b
+
+
+def _maximal(groups: Collection[FrozenSet[NodeId]], adjacency: Adjacency, dmax: int) -> bool:
+    groups = list(groups)
+    checked: Set[Tuple[int, int]] = set()
+    for pair in _merge_candidates(groups, adjacency):
+        if pair in checked:
+            continue
+        checked.add(pair)
+        if induced_diameter_ok(adjacency, groups[pair[0]] | groups[pair[1]], dmax):
+            return False
+    return True
 
 
 def safety_violations(views: Views, graph: nx.Graph, dmax: int) -> List[Tuple[FrozenSet, float]]:
-    """Groups violating ΠS with their (possibly infinite) diameter."""
-    violations: List[Tuple[FrozenSet, float]] = []
-    for group in set(omega(views).values()):
-        diameter = subgraph_diameter(graph, group)
-        if diameter > dmax:
-            violations.append((group, diameter))
-    return violations
+    """Groups violating ΠS with their (possibly infinite) diameter, in sorted group order."""
+    adjacency = dict(graph.adjacency())
+    return [(group, subgraph_diameter(graph, group))
+            for group in sorted(set(omega(views).values()), key=_group_key)
+            if not induced_diameter_ok(adjacency, group, dmax)]
 
 
 def safety(views: Views, graph: nx.Graph, dmax: int) -> bool:
     """ΠS: every group is connected with diameter ≤ Dmax inside the group subgraph."""
-    return not safety_violations(views, graph, dmax)
+    return _safe(set(omega(views).values()), dict(graph.adjacency()), dmax)
 
 
 def maximality_violations(views: Views, graph: nx.Graph,
                           dmax: int) -> List[Tuple[FrozenSet, FrozenSet]]:
-    """Pairs of distinct groups that could merge without breaking ΠS.
-
-    A merged pair keeps ΠS only if the subgraph over the union is connected,
-    which requires the groups to share a node (possible while agreement is
-    broken) or to be joined by a direct edge.  Only those candidate pairs
-    get a diameter check — on a mostly-singleton configuration this reduces
-    the O(g^2) pair scan to roughly one check per topology edge.
-    """
-    groups = sorted(set(omega(views).values()), key=lambda g: sorted(map(str, g)))
-    member_of: Dict[NodeId, List[int]] = {}
-    for index, group in enumerate(groups):
-        for node in group:
-            member_of.setdefault(node, []).append(index)
-    candidates: Set[Tuple[int, int]] = set()
-    for indices in member_of.values():
-        for i, index_a in enumerate(indices):
-            for index_b in indices[i + 1:]:
-                candidates.add((index_a, index_b) if index_a < index_b
-                               else (index_b, index_a))
-    for node_u, node_v in graph.edges():
-        for index_a in member_of.get(node_u, ()):
-            for index_b in member_of.get(node_v, ()):
-                if index_a != index_b:
-                    candidates.add((index_a, index_b) if index_a < index_b
-                                   else (index_b, index_a))
-    violations: List[Tuple[FrozenSet, FrozenSet]] = []
-    for index_a, index_b in sorted(candidates):
-        if merged_diameter_ok(graph, groups[index_a], groups[index_b], dmax):
-            violations.append((groups[index_a], groups[index_b]))
-    return violations
+    """Pairs of distinct groups that could merge without breaking ΠS, in sorted order."""
+    adjacency = dict(graph.adjacency())
+    groups = sorted(set(omega(views).values()), key=_group_key)
+    return [(groups[index_a], groups[index_b])
+            for index_a, index_b in sorted(set(_merge_candidates(groups, adjacency)))
+            if induced_diameter_ok(adjacency, groups[index_a] | groups[index_b], dmax)]
 
 
 def maximality(views: Views, graph: nx.Graph, dmax: int) -> bool:
     """ΠM: no two distinct groups could be merged while keeping the diameter ≤ Dmax."""
-    return not maximality_violations(views, graph, dmax)
+    return _maximal(set(omega(views).values()), dict(graph.adjacency()), dmax)
 
 
 def legitimate(views: Views, graph: nx.Graph, dmax: int) -> bool:
     """The stabilization target ΠA ∧ ΠS ∧ ΠM."""
-    return agreement(views) and safety(views, graph, dmax) and maximality(views, graph, dmax)
+    if not agreement(views):
+        return False
+    groups = set(omega(views).values())
+    adjacency = dict(graph.adjacency())
+    return _safe(groups, adjacency, dmax) and _maximal(groups, adjacency, dmax)
 
 
 def topological(previous_groups: Groups, new_graph: nx.Graph, dmax: int) -> bool:
@@ -158,12 +191,7 @@ def topological(previous_groups: Groups, new_graph: nx.Graph, dmax: int) -> bool
     distance ``Dmax`` of each other in the *new* topology, counting only paths
     inside the previous group.
     """
-    for group in set(previous_groups.values()):
-        if len(group) <= 1:
-            continue
-        if subgraph_diameter(new_graph, group) > dmax:
-            return False
-    return True
+    return _safe(set(previous_groups.values()), dict(new_graph.adjacency()), dmax)
 
 
 def continuity_violations(previous_groups: Groups,
@@ -204,12 +232,13 @@ def evaluate_configuration(time: float, views: Views, graph: nx.Graph,
                            dmax: int) -> ConfigurationReport:
     """Evaluate every static predicate on one configuration snapshot."""
     groups = set(omega(views).values())
+    adjacency = dict(graph.adjacency())
     sizes = [len(group) for group in groups]
     return ConfigurationReport(
         time=time,
         agreement=agreement(views),
-        safety=safety(views, graph, dmax),
-        maximality=maximality(views, graph, dmax),
+        safety=_safe(groups, adjacency, dmax),
+        maximality=_maximal(groups, adjacency, dmax),
         group_count=len(groups),
         largest_group=max(sizes) if sizes else 0,
         isolated_nodes=sum(1 for size in sizes if size == 1),

@@ -5,9 +5,10 @@ proved propositions plus a simulation study delegated to the (unavailable)
 Airplug implementation.  Each experiment below therefore corresponds either to
 a proposition (correctness claims, E1–E3, E6, E7, E9, E10) or to a claim of the
 introduction / related-work discussion (performance claims, E4, E5, E8, and
-E11 for the application-traffic claim the groups exist to serve).  The
-mapping and the expected shapes are listed in DESIGN.md; the measured outputs
-are recorded in EXPERIMENTS.md.
+E11 for the application-traffic claim the groups exist to serve).  Each
+experiment states its expected shape in a report note; where the
+implementation departs from the paper's pseudo-code, README's "Deviations
+from the paper's pseudo-code" section says how.
 
 Every experiment function accepts ``quick`` (smaller workloads, used by the
 default benchmark run and the tests), a ``seed``, and an optional
@@ -153,7 +154,8 @@ def e1_stabilization(quick: bool = True, seed: int = 1,
     result.add_note("Expected shape: stabilization reached in the vast majority of runs and "
                     "time grows with n and Dmax (news must travel O(Dmax) timer periods). "
                     "Dense graphs with a tight Dmax occasionally settle in a legal-but-not-"
-                    "maximal or disagreeing configuration (see DESIGN.md, known limitations).")
+                    "maximal or disagreeing configuration (see README, \"Deviations from the "
+                    "paper's pseudo-code\").")
     return result
 
 

@@ -5,25 +5,37 @@ defined over *subgraph distances*: the distance between two members of a group
 counted only along edges whose both endpoints belong to the group.  This module
 implements those graph computations on ``networkx`` snapshots produced by the
 network.
+
+The boolean diameter checks (:func:`group_diameter_ok`,
+:func:`merged_diameter_ok`, and the predicates built on them) run on the raw
+adjacency mapping through :func:`induced_diameter_ok`, a BFS bounded to the
+members and to depth ``dmax``; :func:`subgraph_diameter` keeps the exact
+``networkx`` number for reports and is the reference for those checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Collection, Dict, FrozenSet, Hashable, Iterable, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 import networkx as nx
 
 __all__ = [
+    "Adjacency",
     "snapshot_graph",
     "subgraph_distance",
     "subgraph_diameter",
     "group_is_connected",
     "group_diameter_ok",
     "merged_diameter_ok",
+    "induced_diameter_ok",
     "distance_matrix_within",
     "neighbors_within",
     "connected_components",
 ]
+
+#: Node -> its neighbours; ``dict(graph.adjacency())`` of a ``networkx`` graph.
+Adjacency = Mapping[Hashable, Collection[Hashable]]
 
 
 def snapshot_graph(positions: Mapping[Hashable, Sequence[float]],
@@ -114,9 +126,45 @@ def group_is_connected(graph: nx.Graph, members: Iterable[Hashable]) -> bool:
     return nx.is_connected(graph.subgraph(members))
 
 
+def induced_diameter_ok(adjacency: Adjacency, members: Iterable[Hashable],
+                        dmax: int) -> bool:
+    """Whether the subgraph induced by ``members`` is connected with diameter <= ``dmax``.
+
+    One BFS per member, restricted to the members and cut off at depth
+    ``dmax``; the answer is ``False`` at the first source that does not reach
+    every member.  Groups of 0 or 1 members pass (even when the node is absent
+    from ``adjacency``), a group with a member absent from ``adjacency`` fails,
+    and ``dmax=0`` fails any group of two or more — the conventions of
+    ``subgraph_diameter(graph, members) <= dmax`` for ``dmax >= 0``.
+    """
+    if not isinstance(members, AbstractSet):
+        members = set(members)
+    count = len(members)
+    if count <= 1:
+        return True
+    if dmax < 1 or any(member not in adjacency for member in members):
+        return False
+    for source in members:
+        seen = {source}
+        frontier = [source]
+        for _ in range(dmax):
+            reached = []
+            for node in frontier:
+                for neighbour in adjacency[node]:
+                    if neighbour in members and neighbour not in seen:
+                        seen.add(neighbour)
+                        reached.append(neighbour)
+            if not reached or len(seen) == count:
+                break
+            frontier = reached
+        if len(seen) != count:
+            return False
+    return True
+
+
 def group_diameter_ok(graph: nx.Graph, members: Iterable[Hashable], dmax: int) -> bool:
     """ΠS for one group: connected and diameter <= dmax within the group subgraph."""
-    return subgraph_diameter(graph, members) <= dmax
+    return induced_diameter_ok(dict(graph.adjacency()), members, dmax)
 
 
 def merged_diameter_ok(graph: nx.Graph, group_a: Iterable[Hashable],
@@ -126,8 +174,7 @@ def merged_diameter_ok(graph: nx.Graph, group_a: Iterable[Hashable],
     This is the test used by the maximality predicate ΠM: two groups violate
     maximality when their union subgraph has diameter <= dmax.
     """
-    union = set(group_a) | set(group_b)
-    return subgraph_diameter(graph, union) <= dmax
+    return induced_diameter_ok(dict(graph.adjacency()), set(group_a) | set(group_b), dmax)
 
 
 def neighbors_within(graph: nx.Graph, node: Hashable, hops: int) -> Set[Hashable]:

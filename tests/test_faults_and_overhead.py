@@ -157,6 +157,35 @@ class TestHashSeedIndependence:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
 
+    def test_safety_violations_order_is_independent_of_hash_seed(self):
+        """Observed runs report ΠS offenders; with string node ids their order
+        must not follow set iteration (regression: it did)."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import networkx as nx\n"
+            "from repro.core.predicates import safety_violations\n"
+            "names = [f'n{i}' for i in range(24)]\n"
+            "graph = nx.Graph()\n"
+            "graph.add_nodes_from(names)\n"
+            "views = {}\n"
+            "for i in range(0, 24, 2):\n"
+            "    group = frozenset(names[i:i + 2])\n"
+            "    views.update(dict.fromkeys(group, group))\n"
+            "print([(sorted(g), d) for g, d in safety_violations(views, graph, 2)])\n")
+        import repro
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
 
 class TestOverhead:
     def test_overhead_summary_counts_messages(self):
