@@ -1,16 +1,17 @@
-"""Broadcast-path benchmark: spatial index vs brute-force neighbour scans.
+"""Broadcast-path benchmark: the fast path vs the brute-force reference scan.
 
 Measures the raw network substrate (no protocol on top): every node broadcasts
 a dummy payload into a no-op process, so the timing isolates the neighbour
-query + channel decision path that the spatial index accelerates.  A second
+query + channel decision path that the fast path (CSR link state over the
+node store) accelerates.  A second
 table times full topology-snapshot rebuilds (cache deliberately invalidated
 before each rebuild) and snapshot reads served from the generation-stamped
 cache.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_spatial_index.py``;
 ``--quick`` shrinks the scenario for CI smoke runs.  The dense-field row is
-the acceptance scenario: the indexed broadcast path must be >= 5x faster than
-brute force at 1000 nodes.
+the acceptance scenario: the indexed (fast) broadcast path must be >= 5x
+faster than the brute-force reference at 1000 nodes.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ class NullProcess(Process):
 
 
 def build_network(n: int, area: float, radio_range: float, seed: int,
-                  use_spatial_index: bool) -> Tuple[Simulator, Network]:
+                  reference: bool) -> Tuple[Simulator, Network]:
     seeds = SeedSequenceFactory(seed)
     positions = random_positions(range(n), area=(area, area), rng=seeds.stream("placement"))
     sim = Simulator(seed=seed)
-    network = Network(sim, radio=UnitDiskRadio(radio_range),
-                      use_spatial_index=use_spatial_index)
+    network = Network(sim, radio=UnitDiskRadio(radio_range), reference=reference)
     for node, pos in positions.items():
         network.add_node(NullProcess(node), pos)
     return sim, network
@@ -83,8 +83,8 @@ def run_scenario(name: str, n: int, area: float, radio_range: float,
                  rounds: int, snapshot_iterations: int, seed: int = 7) -> Dict[str, object]:
     row: Dict[str, object] = {"scenario": name, "nodes": n}
     rates = {}
-    for label, use_index in (("indexed", True), ("brute", False)):
-        sim, network = build_network(n, area, radio_range, seed, use_index)
+    for label, reference in (("indexed", False), ("brute", True)):
+        sim, network = build_network(n, area, radio_range, seed, reference)
         elapsed, count = time_broadcasts(network, rounds)
         delivered = network.messages_delivered
         rates[label] = count / elapsed if elapsed > 0 else float("inf")

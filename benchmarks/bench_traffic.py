@@ -1,16 +1,16 @@
 """Traffic-subsystem benchmark: application messages through the group layer.
 
 Measures the end-to-end application-message path of :mod:`repro.traffic` —
-generator timers → group-scoped injection → network broadcast (vectorized
-link-state pipeline) → app-handler dispatch → delivery-ledger accounting —
+generator timers → group-scoped injection → network broadcast (the CSR fast
+path) → app-handler dispatch → delivery-ledger accounting —
 over a dense mobile field with a static grid-cell group partition and no
 protocol on top, so the timing isolates the traffic subsystem itself.
 
 Two pipelines run the identical seeded workload:
 
-* ``vectorized`` — the link-state receiver cache + batched channel decisions
-  (``Network(vectorized_delivery=True)``, the default);
-* ``scan`` — the per-receiver fallback path.
+* ``fast`` — the CSR receiver cache + batched channel decisions (the
+  default ``Network``);
+* ``reference`` — the brute-force all-nodes scan (``Network(reference=True)``).
 
 The ledgers of both runs must agree bit-exactly (sends, receptions, per-group
 rows) — the benchmark asserts it, making every CI run a determinism check.
@@ -20,7 +20,7 @@ shrinks the field for CI smoke runs and ``--json PATH`` writes a
 ``bench-emit/v1`` envelope (see ``benchmarks/_emit.py``; the legacy payload
 rides in its ``meta`` key) for artifact tracking.  Full-mode target:
 >= 50k delivered application messages per second on the 1000-node dense
-field with the vectorized pipeline on.
+field on the fast path.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def grid_groups(positions: Dict, cell: float) -> Dict:
     return groups
 
 
-def build(n: int, area: float, seed: int, vectorized: bool) -> Tuple[Simulator, Network,
-                                                                     Dict]:
+def build(n: int, area: float, seed: int, reference: bool) -> Tuple[Simulator, Network,
+                                                                    Dict]:
     seeds = SeedSequenceFactory(seed)
     positions = random_positions(range(n), area=(area, area),
                                  rng=seeds.stream("placement"))
@@ -77,7 +77,7 @@ def build(n: int, area: float, seed: int, vectorized: bool) -> Tuple[Simulator, 
     mobility = RandomWaypointMobility((area, area), min_speed=5.0, max_speed=15.0,
                                       rng=seeds.stream("mobility"))
     network = Network(sim, radio=UnitDiskRadio(RADIO_RANGE), channel=channel,
-                      mobility=mobility, vectorized_delivery=vectorized)
+                      mobility=mobility, reference=reference)
     for node, pos in positions.items():
         network.add_node(AppHost(node), pos)
     groups = grid_groups(positions, RADIO_RANGE)
@@ -85,9 +85,9 @@ def build(n: int, area: float, seed: int, vectorized: bool) -> Tuple[Simulator, 
 
 
 def time_traffic(spec: TrafficSpec, n: int, area: float, duration: float,
-                 vectorized: bool, seed: int = 17) -> Tuple[float, Dict[str, object]]:
+                 reference: bool, seed: int = 17) -> Tuple[float, Dict[str, object]]:
     """(wall seconds, ledger fingerprint) for one seeded traffic run."""
-    sim, network, groups = build(n, area, seed, vectorized)
+    sim, network, groups = build(n, area, seed, reference)
     driver = TrafficDriver(sim=sim, network=network, processes=network.processes,
                            spec=spec, seed=seed, group_of=groups.__getitem__)
     network.start_mobility(1.0)
@@ -115,27 +115,27 @@ def traffic_rows(n: int, area: float, duration: float,
     ]
     rows = []
     for name, spec in workloads:
-        best = {"vectorized": float("inf"), "scan": float("inf")}
+        best = {"fast": float("inf"), "reference": float("inf")}
         fingerprints: Dict[str, Dict[str, object]] = {}
         # Interleave the two pipelines within each repeat so transient
         # machine load penalizes both sides equally.
         for _ in range(repeats):
-            for label, vectorized in (("vectorized", True), ("scan", False)):
+            for label, reference in (("fast", False), ("reference", True)):
                 elapsed, fingerprint = time_traffic(spec, n, area, duration,
-                                                    vectorized)
+                                                    reference)
                 best[label] = min(best[label], elapsed)
                 fingerprints[label] = fingerprint
         # The two pipelines must be *the same workload*, not merely similar.
-        assert fingerprints["vectorized"] == fingerprints["scan"], (
+        assert fingerprints["fast"] == fingerprints["reference"], (
             f"{name}: ledger diverged between delivery pipelines")
-        delivered = fingerprints["vectorized"]["receptions"]
+        delivered = fingerprints["fast"]["receptions"]
         rows.append({
             "workload": name,
             "nodes": n,
             "app messages": delivered,
-            "vectorized msg/s": round(delivered / best["vectorized"]),
-            "scan msg/s": round(delivered / best["scan"]),
-            "speedup": round(best["scan"] / best["vectorized"], 2),
+            "fast msg/s": round(delivered / best["fast"]),
+            "reference msg/s": round(delivered / best["reference"]),
+            "speedup": round(best["reference"] / best["fast"], 2),
         })
     return rows
 
@@ -155,9 +155,9 @@ def main() -> int:
 
     rows = traffic_rows(n, area, duration, repeats)
     print_table(rows, title="application-message throughput: traffic subsystem "
-                            "over the vectorized delivery pipeline")
+                            "over the fast delivery path")
 
-    headline = max(row["vectorized msg/s"] for row in rows)
+    headline = max(row["fast msg/s"] for row in rows)
     print(f"\nheadline application throughput: {headline} msg/s "
           f"(target >= {target} msg/s, {'quick' if args.quick else 'full'} mode)")
 
@@ -165,7 +165,7 @@ def main() -> int:
         emit_rows = [_emit.row("app_throughput", headline, "msg/s",
                                budget=target)]
         emit_rows += [_emit.row(f"app_throughput_{r['workload']}",
-                                r["vectorized msg/s"], "msg/s") for r in rows]
+                                r["fast msg/s"], "msg/s") for r in rows]
         # Legacy payload in meta: pre-v1 consumers keep parsing after a
         # one-key hop (perf_trajectory.py reads both shapes).
         _emit.emit(args.json, bench="traffic", quick=args.quick,

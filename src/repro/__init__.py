@@ -13,8 +13,9 @@ The package is organised around the paper's structure:
 * :mod:`repro.baselines` — clustering comparators (lowest-ID, Max-Min
   d-cluster, k-hop clustering);
 * :mod:`repro.metrics` — convergence, continuity, group and overhead metrics;
-* :mod:`repro.experiments` — scenario builders, the experiment runner and the
-  E1…E10 reproduction suite.
+* :mod:`repro.scenarios` — the declarative scenario registry and builders;
+* :mod:`repro.experiments` — the experiment runner and the E1…E10
+  reproduction suite.
 
 Quick start::
 

@@ -82,8 +82,7 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
                       loss_probability: float = 0.0,
                       mobility=None,
                       seed: Optional[int] = None,
-                      trace_categories: Optional[set] = None,
-                      use_spatial_index: bool = True) -> GRPDeployment:
+                      trace_categories: Optional[set] = None) -> GRPDeployment:
     """Build a GRP deployment from node positions.
 
     Parameters
@@ -108,9 +107,6 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
         the mobility model.
     trace_categories:
         Categories stored (not only counted) by the trace recorder.
-    use_spatial_index:
-        Serve neighbour queries from the network's spatial index (default);
-        disable to force the brute-force scans, e.g. for cross-checking runs.
     """
     seeds = SeedSequenceFactory(seed)
     sim = Simulator(seed=seeds.seed_for("simulator"))
@@ -127,8 +123,7 @@ def build_grp_network(positions: Mapping[Hashable, Tuple[float, float]],
         channel.set_rng(seeds.stream("channel"))
     if mobility is not None and hasattr(mobility, "set_rng"):
         mobility.set_rng(seeds.stream("mobility"))
-    network = Network(sim, radio=radio, channel=channel, mobility=mobility, trace=trace,
-                      use_spatial_index=use_spatial_index)
+    network = Network(sim, radio=radio, channel=channel, mobility=mobility, trace=trace)
     nodes: Dict[Hashable, GRPNode] = {}
     for node_id in sorted(positions, key=str):
         node = GRPNode(node_id, config)

@@ -10,10 +10,10 @@ node — so nodes may join or leave at any time.
 
 Delta notification contract
 ---------------------------
-The network maintains its spatial index, array store and link-state caches by
+The network maintains its spatial index, array store and CSR link state by
 *diffing* each step's result against the current positions: a node whose
 returned position equals its current one costs nothing downstream.  With the
-array backend the whole step lands as one bulk comparison-and-masked-write
+node store built the whole step lands as one bulk comparison-and-masked-write
 into the contiguous position array (``Network._apply_position_updates``);
 the scalar fallback compares per node.  Either way, models signal "this node
 did not move" simply by echoing the input position unchanged (pass the same

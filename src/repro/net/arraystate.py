@@ -1,16 +1,14 @@
 """Array-native simulation state: SoA node store + CSR link-state.
 
-The object-per-node core caps the simulator at toy sizes: positions live in a
-``node -> tuple`` dict, link-state in per-node dicts patched one python
-operation at a time, and every broadcast materializes fresh python lists.
-This module provides the structure-of-arrays backend behind the existing
+This module provides the structure-of-arrays fast path behind the
 :class:`repro.net.network.Network` APIs:
 
 * :class:`NodeArrayStore` — one contiguous ``N x 2`` float64 position array
-  plus parallel per-row arrays (insertion order, activity mask, node ids and
-  process objects), with a ``node id <-> row`` map.  Rows are recycled by
-  swap-with-last on removal, so the arrays stay dense; mobility steps and
-  ``Network.set_positions`` become one masked array write.
+  plus parallel per-row arrays (insertion order, activity mask, node ids)
+  and a row-aligned list of process objects, with a ``node id <-> row`` map.
+  Rows are recycled by swap-with-last on removal, so the arrays stay dense;
+  mobility steps and ``Network.set_positions`` become one masked array
+  write.
 * :class:`ArrayLinkState` — the symmetric link set of a uniform-link-radius
   radio stored as int32 CSR adjacency (``indptr`` / ``indices`` row arrays),
   rebuilt wholesale by a fully vectorized cell-binning pass whenever the
@@ -34,15 +32,14 @@ the rare band candidates with ``math.hypot`` itself, on the identical
 *provably* the scalar predicate — the regression tests in
 ``tests/test_arraystate.py`` pin coincident points, exactly-at-range
 placements and cell-edge positions, and the 500-node replay matrix holds the
-backend to bit-identical runs.
+fast path to bit-identical runs against the brute-force reference.
 
 Determinism
 -----------
 CSR adjacency rows are sorted by node *insertion order* (the same
 ``Network._order`` counter every scan path sorts by), so receiver lists and
-snapshot edge insertion orders are identical to the dict-based
-:class:`~repro.net.linkstate.LinkStateCache` and to the brute-force scans —
-stochastic channels consume their RNG streams identically whichever backend
+snapshot edge insertion orders are identical to the brute-force scans —
+stochastic channels consume their RNG streams identically whichever path
 produced the candidate list.
 """
 
@@ -75,6 +72,11 @@ class NodeArrayStore:
     rebuild, as :class:`ArrayLinkState` does).  Insertion order, the
     determinism anchor of every scan path, lives in the :attr:`order` array,
     not in row position.
+
+    Processes live in a plain list, not a numpy object array: the cyclic
+    garbage collector does not traverse object arrays, so a process held
+    there would keep the cycle process -> network -> store -> process (and
+    with it every finished deployment) alive forever.
     """
 
     __slots__ = ("xy", "order", "active", "ids", "procs", "row_of", "n")
@@ -89,8 +91,8 @@ class NodeArrayStore:
         self.active = np.empty(cap, dtype=bool)
         #: node identifiers (object array for O(1) row -> id gathers)
         self.ids = np.empty(cap, dtype=object)
-        #: process objects, row-aligned (delivery loops gather these)
-        self.procs = np.empty(cap, dtype=object)
+        #: process objects, row-aligned (delivery loops gather these by row)
+        self.procs: List[object] = []
         self.row_of: Dict[Hashable, int] = {}
         self.n = 0
 
@@ -102,7 +104,7 @@ class NodeArrayStore:
 
     def _grow(self) -> None:
         cap = max(_INITIAL_CAPACITY, 2 * self.xy.shape[0])
-        for name in ("xy", "order", "active", "ids", "procs"):
+        for name in ("xy", "order", "active", "ids"):
             old = getattr(self, name)
             shape = (cap,) + old.shape[1:]
             new = np.empty(shape, dtype=old.dtype)
@@ -122,7 +124,7 @@ class NodeArrayStore:
         self.order[row] = order
         self.active[row] = active
         self.ids[row] = node
-        self.procs[row] = proc
+        self.procs.append(proc)
         self.row_of[node] = row
         self.n += 1
         return row
@@ -139,9 +141,9 @@ class NodeArrayStore:
             self.ids[row] = moved
             self.procs[row] = self.procs[last]
             self.row_of[moved] = row
-        # Release object references so removed processes can be collected.
+        # Release the id reference; the process leaves with its list slot.
         self.ids[last] = None
-        self.procs[last] = None
+        self.procs.pop()
         self.n = last
 
     def update(self, node: Hashable, pos: Tuple[float, float]) -> None:
@@ -163,37 +165,6 @@ class NodeArrayStore:
         row = self.row_of[node]
         return (float(self.xy[row, 0]), float(self.xy[row, 1]))
 
-    # ---------------------------------------------------- shard tile queries
-
-    def x_band_rows(self, x_lo: float, x_hi: float) -> np.ndarray:
-        """Row indices whose x-coordinate lies in ``[x_lo, x_hi)``.
-
-        One vectorized comparison over the live rows; ``-inf`` / ``+inf``
-        bounds select an open-ended band (the first / last tile of a sharded
-        field).  Row indices are only stable until the next removal — use
-        them immediately (gather :attr:`ids`) rather than caching.
-        """
-        xs = self.xy[: self.n, 0]
-        return np.nonzero((xs >= x_lo) & (xs < x_hi))[0]
-
-    def interior_rows(self, x_lo: float, x_hi: float, margin: float) -> np.ndarray:
-        """Rows of the ``[x_lo, x_hi)`` band that are at least ``margin``
-        away from both band edges — the complement of the halo slice.
-
-        A sender here can only reach receivers inside the band (unit-disk
-        reach ``margin`` cannot cross an edge), so the sharded delivery path
-        may skip per-receiver ownership checks for these rows.
-        """
-        return self.x_band_rows(x_lo + margin, x_hi - margin)
-
-    def halo_rows(self, x_lo: float, x_hi: float, margin: float) -> np.ndarray:
-        """Rows of the ``[x_lo, x_hi)`` band within ``margin`` of either band
-        edge — the halo slice whose sends may cross a shard boundary."""
-        xs = self.xy[: self.n, 0]
-        in_band = (xs >= x_lo) & (xs < x_hi)
-        near_edge = (xs < x_lo + margin) | (xs >= x_hi - margin)
-        return np.nonzero(in_band & near_edge)[0]
-
 
 class ArrayLinkState:
     """Symmetric uniform-radius link set as CSR adjacency over array rows.
@@ -201,8 +172,8 @@ class ArrayLinkState:
     Valid only for radios exposing a single inclusive link radius
     (:meth:`repro.net.radio.RadioModel.uniform_link_radius`), for which the
     link relation is symmetric and a pure distance threshold — the regime of
-    every stock scenario.  Non-uniform radios keep the dict-based incremental
-    cache.
+    every stock scenario.  Non-uniform radios take the network's grid-indexed
+    per-receiver scan.
 
     The CSR arrays are refreshed lazily (first query after any position /
     membership delta).  Two refresh strategies share the same filtered arc
@@ -215,20 +186,20 @@ class ArrayLinkState:
       ``mark_rows_dirty``, fed by ``Network`` moves and bulk position
       writes), re-derive just the arcs with a moved endpoint from the cell
       binning cached at the last full rebuild, and splice them into the kept
-      remainder of the CSR.  The array analogue of the dict cache's
-      per-delta patching (:mod:`repro.net.linkstate`), with the same
-      guard-band + scalar ``math.hypot`` re-check — the patched CSR is
-      provably byte-identical to what :meth:`_rebuild` would produce (see
-      the :meth:`_patch` docstring for the argument).
+      remainder of the CSR, with the same guard-band + scalar ``math.hypot``
+      re-check — the patched CSR is provably byte-identical to what
+      :meth:`_rebuild` would produce (see the :meth:`_patch` docstring for
+      the argument).  ``incremental=False`` forces the full rebuild on every
+      refresh; tests use it as the reference of the patch.
 
     Membership changes (insert / remove) and wholesale invalidations always
     force a full rebuild; at high mobility the dirty-fraction threshold does
     the same, because a wholesale vectorized rebuild is then cheaper than
     patch bookkeeping.
 
-    Query results mirror :class:`~repro.net.linkstate.LinkStateCache`
-    bit-for-bit: same link membership (guard-banded squared-distance filter,
-    see module docstring), same insertion-order sorting of adjacency.
+    Query results mirror the brute-force scans bit-for-bit: same link
+    membership (guard-banded squared-distance filter, see module docstring),
+    same insertion-order sorting of adjacency.
     """
 
     #: Patch only when at most this fraction of rows is dirty (past it, a
@@ -265,7 +236,7 @@ class ArrayLinkState:
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.empty(0, dtype=np.int32)
         self._m = 0  # arcs currently stored in the arena
-        # Activity-filtered receiver view (token-stamped): parallel id/proc
+        # Activity-filtered receiver view (token-stamped): parallel id/row
         # arrays holding only arcs into *active* rows, so per-sender receiver
         # batches are plain slices.  Rebuilt once per token (the network
         # passes its topology generation, which bumps on every activation /
@@ -273,7 +244,6 @@ class ArrayLinkState:
         self._active_token: object = None
         self._recv_indptr: List[int] = [0]
         self._recv_ids = np.empty(0, dtype=object)
-        self._recv_procs = np.empty(0, dtype=object)
         self._recv_rows = np.empty(0, dtype=np.int64)
         # Incremental-patch bookkeeping: which rows moved since the last CSR
         # refresh (``_dirty_rows``), which rows' cached-binning cell is
@@ -668,19 +638,12 @@ class ArrayLinkState:
         indptr = self._indptr
         return self._indices[indptr[row]:indptr[row + 1]]
 
-    def out_neighbors_sorted(self, node: Hashable) -> List[Hashable]:
-        """Link partners of ``node`` as ids, in insertion order."""
-        rows = self.out_rows(node)
-        if not rows.size:
-            return []
-        return self.store.ids[rows].tolist()
-
     def _refresh_active(self, token: object) -> None:
         """One-shot build of the activity-filtered receiver arrays.
 
         Filters the whole CSR against the activity mask in a single pass and
-        gathers ids / process objects for every kept arc, so per-sender
-        receiver batches become plain slices.  ``token`` is the caller's
+        gathers the ids of every kept arc, so per-sender receiver batches
+        become plain slices.  ``token`` is the caller's
         change counter (the network's topology generation): it bumps on every
         activation, position or membership delta, so a matching token proves
         the filtered view is current.
@@ -699,19 +662,18 @@ class ArrayLinkState:
         # measurably faster than with numpy scalars.
         self._recv_indptr = csum[self._indptr[:n + 1]].tolist()
         self._recv_ids = self.store.ids[kept]
-        self._recv_procs = self.store.procs[kept]
         self._recv_rows = kept
         self._active_token = token
 
     def active_receivers(self, node: Hashable,
                          token: object) -> Tuple[List[Hashable], np.ndarray]:
-        """(ids, process object array) of the *active* link partners.
+        """(ids, store rows) of the *active* link partners.
 
         This is the broadcast receiver batch, insertion-ordered.  The first
         query per ``token`` filters the whole adjacency in one vectorized
-        pass; every later query is two array slices.  The processes come back
-        as an object ndarray so channel decision masks can gather the
-        accepted subset in one indexing operation.
+        pass; every later query is two array slices.  The rows are only
+        stable until the next membership change (callers key their caches on
+        the same token) and index :attr:`NodeArrayStore.procs`.
         """
         if (token != self._active_token or self._dirty
                 or self._built_n != self.store.n):
@@ -720,44 +682,7 @@ class ArrayLinkState:
         indptr = self._recv_indptr
         lo = indptr[row]
         hi = indptr[row + 1]
-        return self._recv_ids[lo:hi].tolist(), self._recv_procs[lo:hi]
-
-    def active_receiver_rows(self, node: Hashable, token: object) -> np.ndarray:
-        """Store-row indices of the batch :meth:`active_receivers` returns.
-
-        Same token discipline and ordering as :meth:`active_receivers`; the
-        rows are only stable until the next membership change (callers key
-        their caches on the same generation token).  The sharded executor
-        gathers per-receiver ownership from these in one indexing operation.
-        """
-        if (token != self._active_token or self._dirty
-                or self._built_n != self.store.n):
-            self._refresh_active(token)
-        indptr = self._recv_indptr
-        row = self.store.row_of[node]
-        return self._recv_rows[indptr[row]:indptr[row + 1]]
-
-    def out_neighbors(self, node: Hashable) -> List[Hashable]:
-        """Link partners of ``node`` (dict-cache API mirror)."""
-        return self.out_neighbors_sorted(node)
-
-    def in_neighbors(self, node: Hashable) -> List[Hashable]:
-        """Nodes with a link into ``node`` — the out-partners (symmetric links)."""
-        return self.out_neighbors_sorted(node)
-
-    def has_arc(self, u: Hashable, v: Hashable) -> bool:
-        """Whether the (symmetric) link ``u -> v`` currently exists."""
-        self._ensure()
-        row_u = self.store.row_of.get(u)
-        row_v = self.store.row_of.get(v)
-        if row_u is None or row_v is None:
-            return False
-        indptr = self._indptr
-        return bool((self._indices[indptr[row_u]:indptr[row_u + 1]] == row_v).any())
-
-    def symmetric_neighbors(self, node: Hashable) -> List[Hashable]:
-        """Alias of :meth:`out_neighbors_sorted` (uniform links are symmetric)."""
-        return self.out_neighbors_sorted(node)
+        return self._recv_ids[lo:hi].tolist(), self._recv_rows[lo:hi]
 
     def symmetric_edges(self, active_rows: np.ndarray) -> List[Tuple[Hashable, Hashable]]:
         """Symmetric edges over ``active_rows``, in canonical snapshot order.

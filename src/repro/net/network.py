@@ -11,49 +11,46 @@ to drop it.  Delivery happens after the channel delay, through the process
 
 Neighbour engine
 ----------------
-When the radio reports a finite :meth:`~repro.net.radio.RadioModel.max_range`,
-the network serves vicinity and topology queries from a
-:class:`~repro.net.spatialindex.UniformGridIndex` over the node positions
-instead of scanning every process, making broadcasts and snapshots cost
-O(local density) instead of O(N).  Topology snapshots are additionally cached
-behind a *generation stamp*: every position change (``set_position``, mobility
-steps), membership change (``add_node`` / ``remove_node``) and activation
-change bumps the generation, and a snapshot is rebuilt only when its stamp is
-stale.  Stock radios notify the network of in-place parameter mutations
-(their setters call :meth:`~repro.net.radio.RadioModel.notify_mutation`);
-custom radios mutated through private state must be followed by an explicit
-:meth:`Network.invalidate_topology`.  Radios with unbounded range
-(``max_range() is None``) keep the original brute-force scan, still behind the
-same snapshot cache.
-
-Vectorized delivery pipeline
-----------------------------
-On top of the grid, the network maintains an incremental
-:class:`~repro.net.linkstate.LinkStateCache`: the directed edge set
-``u -> v iff link_exists(u, v)`` is patched per delta (only the links of
-moved / added / removed nodes are re-tested), so topology refreshes under
-mobility no longer rescan candidate pairs.  Broadcasts from radios whose
-vicinity test is deterministic
-(:meth:`~repro.net.radio.RadioModel.deterministic_vicinity`) take a batched
-fast path: the receiver list is served from the sender's cached out-links
-(zero distance tests), the channel decides the whole batch in one
+One fast path serves every broadcast and snapshot, selected by the radio
+alone.  Radios with a uniform link radius (every stock scenario) are served
+from the CSR :class:`~repro.net.arraystate.ArrayLinkState` over the
+:class:`~repro.net.arraystate.NodeArrayStore`: receiver lists come straight
+from the sender's cached adjacency (zero distance tests), the channel decides
+the whole batch in one
 :meth:`~repro.net.channel.ChannelModel.decide_batch` call (vectorized RNG
 draws consuming the identical stream as the scalar loop), and purely-delayed
 batches are bulk-inserted through
-:meth:`~repro.sim.engine.Simulator.schedule_many`.  ``vectorized_delivery=
-False`` (or a stochastic-vicinity radio, or a disabled/unavailable spatial
-index) falls back to the original per-receiver scan; seeded runs replay
-bit-identically on either path — the invariant ``tests/test_replay_
-determinism.py`` enforces at 500 nodes.  One contract makes this exact:
-processes must not *synchronously* broadcast or flip activation from inside
-``on_message`` (every protocol in this repository does both through timers);
-the batched path decides the whole receiver batch ahead of its same-tick
-deliveries, so a synchronous side effect would interleave channel draws — or
-shrink the receiver set — differently than the scalar path.
+:meth:`~repro.sim.engine.Simulator.schedule_many`.  Every other radio with a
+finite :meth:`~repro.net.radio.RadioModel.max_range` (per-node ranges,
+stochastic vicinities) takes the per-receiver scan over candidates from a
+:class:`~repro.net.spatialindex.UniformGridIndex`; radios with unbounded
+range scan every node.
+
+``reference=True`` forces the brute-force all-nodes scan for every broadcast
+and snapshot (no grid, no store, no CSR): the reference every fast path is
+checked against.  Seeded runs replay bit-identically on either path — the
+invariant ``tests/test_replay_determinism.py`` enforces at 500 nodes.
+
+Topology snapshots are cached behind a *generation stamp*: every position
+change (``set_position``, mobility steps), membership change (``add_node`` /
+``remove_node``) and activation change bumps the generation, and a snapshot
+is rebuilt only when its stamp is stale.  Stock radios notify the network of
+in-place parameter mutations (their setters call
+:meth:`~repro.net.radio.RadioModel.notify_mutation`); custom radios mutated
+through private state must be followed by an explicit
+:meth:`Network.invalidate_topology`.
+
+One contract makes the batched path exact: processes must not
+*synchronously* broadcast or flip activation from inside ``on_message``
+(every protocol in this repository does both through timers); the batched
+path decides the whole receiver batch ahead of its same-tick deliveries, so
+a synchronous side effect would interleave channel draws — or shrink the
+receiver set — differently than the scalar path.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
@@ -67,7 +64,6 @@ from repro.sim.trace import TraceRecorder
 from .arraystate import ArrayLinkState, NodeArrayStore
 from .channel import ChannelModel, PerfectChannel
 from .geometry import Point
-from .linkstate import LinkStateCache
 from .radio import RadioModel
 from .spatialindex import UniformGridIndex
 from .topology import snapshot_graph
@@ -92,52 +88,26 @@ class Network:
     trace:
         Optional trace recorder; the network records ``send``, ``receive`` and
         ``drop`` events into it.
-    use_spatial_index:
-        Serve neighbour queries from a uniform grid index when the radio has a
-        bounded range (default).  Disable to force the brute-force scans, e.g.
-        to benchmark or to cross-check the index.
-    vectorized_delivery:
-        Serve broadcasts and topology queries from the incremental link-state
-        cache with batched channel decisions (default).  Disable to force the
-        original per-receiver scan, e.g. to benchmark or to cross-check the
-        pipeline; seeded runs are bit-identical either way.  Requires the
-        spatial index (it degrades to the scan path otherwise).
-    array_state:
-        Keep node state mirrored in contiguous numpy arrays
-        (:class:`~repro.net.arraystate.NodeArrayStore`) and serve the
-        vectorized pipeline from the CSR
-        :class:`~repro.net.arraystate.ArrayLinkState` whenever the radio has a
-        uniform link radius (default).  Disable to force the dict-based
-        incremental cache, e.g. to benchmark or to cross-check the array
-        backend; seeded runs are bit-identical either way.
-    incremental_csr:
-        Serve small position deltas by patching the CSR adjacency in place
-        (default) instead of rebuilding it wholesale; membership changes and
-        large deltas always rebuild.  Disable to force the full rebuild as
-        the reference path; seeded runs are bit-identical either way (the
-        patch provably reproduces the rebuild's arrays).
+    reference:
+        Serve every broadcast and snapshot from the brute-force all-nodes
+        scan instead of the grid index and the CSR link state — the
+        reference the fast path must reproduce bit for bit, and the baseline
+        of the delivery benchmarks.
     """
 
     def __init__(self, sim: Simulator, radio: RadioModel,
                  channel: Optional[ChannelModel] = None,
                  mobility: Optional[Any] = None,
                  trace: Optional[TraceRecorder] = None,
-                 use_spatial_index: bool = True,
-                 vectorized_delivery: bool = True,
-                 array_state: bool = True,
-                 incremental_csr: bool = True):
+                 reference: bool = False):
         self.sim = sim
         self.radio = radio
         self.channel = channel if channel is not None else PerfectChannel()
         self.mobility = mobility
         self.trace = trace
-        self._linkstate: Optional[LinkStateCache] = None
         self._store: Optional[NodeArrayStore] = None
         self._array_ls: Optional[ArrayLinkState] = None
-        self.use_spatial_index = bool(use_spatial_index)
-        self.vectorized_delivery = bool(vectorized_delivery)
-        self.array_state = bool(array_state)
-        self.incremental_csr = bool(incremental_csr)
+        self._reference = bool(reference)
         self._processes: Dict[Hashable, Process] = {}
         self._positions: Dict[Hashable, Point] = {}
         self._order: Dict[Hashable, int] = {}
@@ -156,15 +126,13 @@ class Network:
         self._position_listeners: List[Callable[[float, Dict[Hashable, Point]], None]] = []
         self._index: Optional[UniformGridIndex] = None
         #: sender -> (generation, linkstate, active sorted receivers, their
-        #: processes as list and object ndarray, their store rows or None);
-        #: hello-beacon traffic re-broadcasts between topology changes, so the
-        #: filtered receiver batch is reused until a position/membership/
-        #: activation change bumps the generation or a radio change replaces
-        #: the link-state cache.
+        #: processes); hello-beacon traffic re-broadcasts between topology
+        #: changes, so the filtered receiver batch is reused until a
+        #: position/membership/activation change bumps the generation or a
+        #: radio change replaces the link state.
         self._receiver_cache: Dict[Hashable,
-                                   Tuple[int, Any, List[Hashable],
-                                         List[Process], np.ndarray,
-                                         Optional[np.ndarray]]] = {}
+                                   Tuple[int, ArrayLinkState, List[Hashable],
+                                         List[Process]]] = {}
         self._generation = 0
         self._topo_cache: Optional[nx.Graph] = None
         self._topo_cache_key: Optional[Tuple[int, Optional[float]]] = None
@@ -184,8 +152,8 @@ class Network:
         self._obs_dropped = obs.registry.counter("net.dropped") if obs else None
 
     def recapture_obs(self) -> None:
-        """Re-point the cached obs handles (and the lazily built link-state
-        caches') at the process-local context — see
+        """Re-point the cached obs handles (and the lazily built link
+        state's) at the process-local context — see
         :meth:`repro.sim.engine.Simulator.recapture_obs`."""
         obs = _obs_current()
         self._obs = obs
@@ -195,12 +163,6 @@ class Network:
         als = self._array_ls
         if als is not None:
             als._obs = obs
-        cache = self._linkstate
-        if cache is not None:
-            cache._obs_moves = (obs.registry.counter("topology.patch_moves")
-                                if obs else None)
-            cache._obs_rebuilds = (obs.registry.counter("topology.dict_rebuilds")
-                                   if obs else None)
 
     def __setstate__(self, state):
         """Re-register the radio mutation listener after unpickling.
@@ -230,74 +192,25 @@ class Network:
         return self._generation
 
     @property
-    def use_spatial_index(self) -> bool:
-        """Whether neighbour queries go through the uniform grid index.
+    def reference(self) -> bool:
+        """Whether every query takes the brute-force all-nodes scan.
 
-        Disabling also drops the link-state cache (it cannot be maintained
-        without the grid), so the brute-force baseline pays zero incremental
-        upkeep; re-enabling rebuilds both on the next query.
+        Flipping it invalidates the topology and drops the grid index, the
+        node store and the CSR link state, so the reference path pays no
+        upkeep for structures it never reads; the fast path rebuilds them on
+        its next query.
         """
-        return self._use_spatial_index
+        return self._reference
 
-    @use_spatial_index.setter
-    def use_spatial_index(self, value: bool) -> None:
-        self._use_spatial_index = bool(value)
-        if not self._use_spatial_index:
-            self._linkstate = None
-            self._array_ls = None
-
-    @property
-    def vectorized_delivery(self) -> bool:
-        """Whether the batched link-state pipeline is enabled.
-
-        Disabling drops the link-state cache, so the scan path pays zero
-        incremental maintenance (important when benchmarking it);
-        re-enabling rebuilds the cache on the next query.
-        """
-        return self._vectorized_delivery
-
-    @vectorized_delivery.setter
-    def vectorized_delivery(self, value: bool) -> None:
-        self._vectorized_delivery = bool(value)
-        if not self._vectorized_delivery:
-            self._linkstate = None
-            self._array_ls = None
-
-    @property
-    def array_state(self) -> bool:
-        """Whether node state is mirrored into the contiguous array store.
-
-        Disabling drops the store and the CSR link-state; the vectorized
-        pipeline then runs on the dict-based incremental cache.  Re-enabling
-        rebuilds both from the node table on the next query.
-        """
-        return self._array_state
-
-    @array_state.setter
-    def array_state(self, value: bool) -> None:
-        self._array_state = bool(value)
-        if not self._array_state:
-            self._store = None
-            self._array_ls = None
-
-    @property
-    def incremental_csr(self) -> bool:
-        """Whether small position deltas patch the CSR instead of rebuilding.
-
-        Toggling propagates to a live :class:`ArrayLinkState`; turning the
-        patch path off additionally forces one full rebuild so every later
-        refresh runs the reference path from reference state.
-        """
-        return self._incremental_csr
-
-    @incremental_csr.setter
-    def incremental_csr(self, value: bool) -> None:
-        self._incremental_csr = bool(value)
-        als = getattr(self, "_array_ls", None)
-        if als is not None:
-            als.incremental = self._incremental_csr
-            if not self._incremental_csr:
-                als.mark_dirty()
+    @reference.setter
+    def reference(self, value: bool) -> None:
+        if bool(value) == self._reference:
+            return
+        self._reference = bool(value)
+        self._index = None
+        self._store = None
+        self._receiver_cache.clear()
+        self.invalidate_topology()
 
     def position_of(self, node_id: Hashable) -> Point:
         """Current position of ``node_id``."""
@@ -322,8 +235,8 @@ class Network:
         and a batch that moves nobody leaves every cache warm (no
         generation bump).
         """
-        if (self._store is not None and self._linkstate is None
-                and self._index is None and len(positions) > 1):
+        if (self._store is not None and self._index is None
+                and len(positions) > 1):
             # Bulk path: membership validated with one C-level subset check,
             # coordinates coerced by one array conversion — no per-node
             # python validation.  Exotic inputs the conversion cannot digest
@@ -353,10 +266,10 @@ class Network:
                               coords: np.ndarray) -> None:
         """Masked-array tail of the batch teleports (store-only mirrors).
 
-        Only valid when neither the grid index nor the dict link-state cache
-        exists (both need per-node deltas): changed rows are detected and
-        written in whole-array operations, the position dict is patched for
-        the movers only, and the generation bumps once iff anything moved.
+        Only valid when no grid index exists (it needs per-node deltas):
+        changed rows are detected and written in whole-array operations, the
+        position dict is patched for the movers only, and the generation
+        bumps once iff anything moved.
         """
         store = self._store
         rows = np.fromiter(map(store.row_of.__getitem__, ids),
@@ -376,17 +289,16 @@ class Network:
     def _apply_position_updates(self, updates: Dict[Hashable, Point]) -> None:
         """Apply pre-validated position updates with one generation bump.
 
-        On the array backend (store present, no dict link-state to patch
-        per-node) changed rows are written in a single masked array
-        assignment; otherwise each changed node goes through
-        :meth:`_apply_move` so the grid index and the dict cache see their
-        per-node deltas.  Either way, unchanged nodes cost nothing and a
-        batch that moves nobody leaves every cache warm.
+        With the node store present and no grid index to patch per node,
+        changed rows are written in a single masked array assignment;
+        otherwise each changed node goes through :meth:`_apply_move` so the
+        grid index sees its per-node deltas.  Either way, unchanged nodes
+        cost nothing and a batch that moves nobody leaves every cache warm.
         """
         if not updates:
             return
-        if (self._store is not None and self._linkstate is None
-                and self._index is None and len(updates) > 1):
+        if (self._store is not None and self._index is None
+                and len(updates) > 1):
             self._bulk_position_update(
                 list(updates), np.fromiter(updates.values(),
                                            dtype=np.dtype((np.float64, 2)),
@@ -401,28 +313,25 @@ class Network:
             self._generation += 1
 
     def _apply_move(self, node_id: Hashable, pos: Point) -> None:
-        """Move one node, mirroring the grid index, store and link-state caches."""
+        """Move one node, mirroring the grid index, store and link state."""
         self._positions[node_id] = pos
         if self._store is not None:
             self._store.update(node_id, pos)
         if self._index is not None:
             self._index.update(node_id, pos)
-        if self._linkstate is not None:
-            self._linkstate.on_move(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_row_dirty(self._store.row_of[node_id])
 
     def invalidate_topology(self) -> None:
         """Force the next snapshot/neighbour query to recompute.
 
-        Drops the incremental link-state cache too: a radio mutated in place
-        can flip arbitrary links without any node moving, so no delta knows
-        which links to re-test.  Stock radios call this automatically through
+        Drops the CSR link state too: a radio mutated in place can flip
+        arbitrary links without any node moving, so no delta knows which
+        links to re-test.  Stock radios call this automatically through
         their mutation listeners; custom radios mutated via private state must
         call it explicitly.
         """
         self._generation += 1
-        self._linkstate = None
         # A mutation can change the uniform link radius too; the node store
         # itself only mirrors positions and survives radio changes.
         self._array_ls = None
@@ -466,8 +375,6 @@ class Network:
                                process._active)
         if self._index is not None:
             self._index.insert(process.node_id, pos)
-        if self._linkstate is not None:
-            self._linkstate.on_insert(process.node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._generation += 1
@@ -481,8 +388,6 @@ class Network:
             self._store.remove(node_id)
         if self._index is not None:
             self._index.remove(node_id)
-        if self._linkstate is not None:
-            self._linkstate.on_remove(node_id)
         if self._array_ls is not None:
             self._array_ls.mark_dirty()
         self._receiver_cache.pop(node_id, None)
@@ -569,7 +474,7 @@ class Network:
 
     def _spatial_index(self) -> Optional[UniformGridIndex]:
         """The grid index, (re)built on demand; ``None`` on the brute-force path."""
-        if not self.use_spatial_index:
+        if self._reference:
             return None
         max_range = self.radio.max_range()
         if max_range is None or max_range <= 0:
@@ -583,7 +488,7 @@ class Network:
 
         Once built it is maintained incrementally by every membership /
         position / activation mutation, so the rebuild-from-scratch below
-        only runs after ``array_state`` is toggled back on.
+        only runs after ``reference`` is switched back off.
         """
         store = self._store
         if store is None:
@@ -612,62 +517,34 @@ class Network:
         candidates.sort(key=self._order.__getitem__)
         return candidates
 
-    def _link_state(self):
-        """The link-state cache, (re)built on demand.
+    def _link_state(self) -> Optional[ArrayLinkState]:
+        """The CSR link state, (re)built on demand.
 
-        Three-way dispatch.  With ``array_state`` on and a uniform-link-radius
-        radio, the CSR :class:`~repro.net.arraystate.ArrayLinkState` serves
-        every query straight from the node store.  Non-uniform radios fall
-        back to the dict-based incremental :class:`LinkStateCache`.  ``None``
-        whenever the vectorized pipeline is off or the spatial index is
-        unavailable (unbounded radio / index disabled) — callers then take
-        the scan paths.  A radius change — assigned through a notifying
-        setter or mutated silently — is auto-detected per query, exactly as
-        the ``max_range`` check always did for the dict cache.
+        ``None`` on the reference path and for radios without a uniform link
+        radius (per-node ranges) — callers then take the scan paths.  A
+        radius change — assigned through a notifying setter or mutated
+        silently — is auto-detected per query.
         """
-        if not self.vectorized_delivery:
+        if self._reference:
             return None
-        if self._array_state and self._use_spatial_index:
-            als = self._array_ls
-            radius = self.radio.uniform_link_radius()
-            if als is not None and als.radius == radius:
-                return als
-            # A uniform radius only qualifies alongside a bounded max_range:
-            # radios that report max_range() is None opt out of every spatial
-            # structure (e.g. custom always-hear radios that inherit a stock
-            # uniform_link_radius) and keep the brute-force scan.
-            if (radius is not None and radius > 0
-                    and self.radio.max_range() is not None):
-                # now_fn is a bound method, not a lambda, so a built network
-                # stays picklable (sharded snapshot-restore builds).
-                als = ArrayLinkState(radius, self._node_store(),
-                                     now_fn=self._sim_now,
-                                     obs=self._obs,
-                                     incremental=self._incremental_csr)
-                self._array_ls = als
-                return als
-            self._array_ls = None
-        cache = self._linkstate
-        if (cache is not None and self.use_spatial_index
-                and cache.index is self._index
-                and cache.radius == self.radio.max_range()):
-            # Fast path (per broadcast / per neighbour query): deltas keep the
-            # cache fresh and every stock-radio mutation notifies us.  The
-            # radius check preserves the pre-existing contract for custom
-            # radios mutated silently: a mutation that changes max_range() is
-            # auto-detected (as the snapshot cache key always did); only
-            # mutations that leave max_range() untouched require an explicit
-            # invalidate_topology().
-            return cache
-        index = self._spatial_index()
-        if index is None:
-            return None
-        radius = self.radio.max_range()
-        if cache is None or cache.radius != radius or cache.index is not index:
-            cache = LinkStateCache(radius, self.radio, self._positions,
-                                   self._order, index, obs=self._obs)
-            self._linkstate = cache
-        return cache
+        als = self._array_ls
+        radius = self.radio.uniform_link_radius()
+        if als is not None and als.radius == radius:
+            return als
+        # A uniform radius only qualifies alongside a bounded max_range:
+        # radios that report max_range() is None opt out of every spatial
+        # structure (e.g. custom always-hear radios that inherit a stock
+        # uniform_link_radius) and keep the brute-force scan.
+        if (radius is not None and radius > 0
+                and self.radio.max_range() is not None):
+            # now_fn is a bound method, not a lambda, so a built network
+            # stays picklable (sharded snapshot-restore builds).
+            als = ArrayLinkState(radius, self._node_store(),
+                                 now_fn=self._sim_now, obs=self._obs)
+        else:
+            als = None
+        self._array_ls = als
+        return als
 
     def _sim_now(self) -> float:
         """Sim-clock reader handed to lazily built caches (picklable)."""
@@ -683,10 +560,10 @@ class Network:
         before the channel delay elapses; ``messages_delivered`` counts only
         messages handed to an active process.
 
-        Radios with a deterministic vicinity take the batched fast path: the
-        receiver list comes straight from the link-state cache (no distance
-        tests), the channel decides the whole batch at once, and purely
-        delayed batches are bulk-scheduled.  Every divergence-relevant step
+        Uniform-radius radios take the batched fast path: the receiver list
+        comes straight from the CSR link state (no distance tests), the
+        channel decides the whole batch at once, and purely delayed batches
+        are bulk-scheduled.  Every divergence-relevant step
         (receiver order, RNG consumption, trace records, event sequence
         numbers) is identical to the per-receiver scan below.
         """
@@ -726,53 +603,40 @@ class Network:
                 self.sim.schedule(decision.delay, self._deliver, sender, receiver, payload)
         return accepted
 
-    def _receiver_batch(self, linkstate: Any, sender: Hashable):
-        """Cached ``(receivers, procs, procs_arr, rows)`` for one sender.
+    def _receiver_batch(self, linkstate: ArrayLinkState, sender: Hashable):
+        """Cached ``(receivers, procs)`` for one sender.
 
         Keyed on (generation, link-state instance): every position/membership/
         activation change bumps the generation, and any radio change —
         notified or auto-detected through the per-query radius check —
-        replaces the link-state instance.  Caching the process objects (list
-        + object ndarray) next to the ids lets delivery loops skip one dict
-        lookup per receiver and gather accepted subsets with one masked
-        index.  ``rows`` holds the receivers' store-row indices on the array
-        backend (``None`` on the dict cache); the sharded executor gathers
-        per-receiver ownership from it with one indexing operation.  Shared
-        by the stock batched broadcast and the ownership-aware sharded
-        variant (:mod:`repro.shard`), which must consume receivers in exactly
-        this order to stay bit-identical.
+        replaces the link-state instance.  Caching the process objects next
+        to the ids lets delivery loops skip one dict lookup per receiver.
+        The processes are gathered into a plain list by store row: a numpy
+        object array would hide them from the cyclic garbage collector and
+        keep every finished deployment alive.  Shared by the stock batched
+        broadcast and the ownership-aware sharded variant
+        (:mod:`repro.shard`), which must consume receivers in exactly this
+        order to stay bit-identical.
         """
         generation = self._generation
         cached = self._receiver_cache.get(sender)
-        if cached is not None:
-            gen_c, ls_c, receivers, procs, procs_arr, rows = cached
-            if gen_c == generation and ls_c is linkstate:
-                return receivers, procs, procs_arr, rows
-        if type(linkstate) is ArrayLinkState:
-            receivers, procs_arr = linkstate.active_receivers(sender, generation)
-            procs = procs_arr.tolist()
-            rows = linkstate.active_receiver_rows(sender, generation)
-        else:
-            processes = self._processes
-            receivers = [r for r in linkstate.out_neighbors_sorted(sender)
-                         if processes[r]._active]
-            procs = [processes[r] for r in receivers]
-            procs_arr = np.empty(len(procs), dtype=object)
-            procs_arr[:] = procs
-            rows = None
-        self._receiver_cache[sender] = (generation, linkstate, receivers,
-                                        procs, procs_arr, rows)
-        return receivers, procs, procs_arr, rows
+        if (cached is not None and cached[0] == generation
+                and cached[1] is linkstate):
+            return cached[2], cached[3]
+        receivers, rows = linkstate.active_receivers(sender, generation)
+        procs = list(map(linkstate.store.procs.__getitem__, rows.tolist()))
+        self._receiver_cache[sender] = (generation, linkstate, receivers, procs)
+        return receivers, procs
 
-    def _broadcast_batched(self, linkstate: Any, sender: Hashable,
+    def _broadcast_batched(self, linkstate: ArrayLinkState, sender: Hashable,
                            payload: Any) -> int:
-        """Batched tail of :meth:`broadcast` (deterministic-vicinity radios).
+        """Batched tail of :meth:`broadcast` (uniform-radius radios).
 
         The sender's cached out-links *are* the vicinity, so the per-receiver
         distance test disappears; active receivers keep insertion order, so
         the channel consumes its RNG exactly as the scalar loop would.
         """
-        receivers, procs, procs_arr, _rows = self._receiver_batch(linkstate, sender)
+        receivers, procs = self._receiver_batch(linkstate, sender)
         if not receivers:
             return 0
         now = self.sim.now
@@ -801,7 +665,7 @@ class Network:
                                 {"receivers": len(receivers)})
             if res is not None:
                 mask, accepted = res
-                live = procs if mask is None else procs_arr[mask].tolist()
+                live = procs if mask is None else compress(procs, mask.tolist())
                 # ``len(live) == accepted``; count down on the (contractually
                 # impossible, but parity-preserved) mid-batch deactivation
                 # instead of counting up per delivery.
@@ -835,12 +699,8 @@ class Network:
             # dispatch under the same no-trace/no-app/stock conditions.
             if (trace is None and self._stock_deliver
                     and not getattr(payload, "is_app_payload", False)):
-                if accepted == n_receivers:
-                    live = procs
-                elif batch.delivered_array is not None:
-                    live = procs_arr[batch.delivered_array].tolist()
-                else:
-                    live = [procs[i] for i, ok in enumerate(delivered) if ok]
+                live = (procs if accepted == n_receivers
+                        else compress(procs, delivered))
                 ndelivered = accepted
                 for proc in live:
                     if proc._active:
@@ -917,10 +777,7 @@ class Network:
             return self._topo_cache
         linkstate = self._link_state()
         if linkstate is not None:
-            if type(linkstate) is ArrayLinkState:
-                graph = self._symmetric_from_arraystate(linkstate)
-            else:
-                graph = self._symmetric_from_linkstate(linkstate)
+            graph = self._symmetric_from_arraystate(linkstate)
             self._topo_cache = graph
             self._topo_cache_key = key
             return graph
@@ -945,25 +802,6 @@ class Network:
             graph.add_edges_from(edges)
         self._topo_cache = graph
         self._topo_cache_key = key
-        return graph
-
-    def _symmetric_from_linkstate(self, linkstate: LinkStateCache) -> nx.Graph:
-        """Symmetric snapshot from cached links — zero link re-tests.
-
-        Nodes are visited in insertion order and each adjacency is served
-        pre-sorted, so edge insertion order is exactly the lexicographic
-        ``(order[u], order[v])`` order of the scan-based builds — downstream
-        graph algorithms replay identically.
-        """
-        active = self.active_nodes()
-        graph = nx.Graph()
-        graph.add_nodes_from(n for n in self._positions if n in active)
-        order = self._order
-        for u in graph:
-            u_order = order[u]
-            for v in linkstate.out_neighbors_sorted(u):
-                if order[v] > u_order and v in active and linkstate.has_arc(v, u):
-                    graph.add_edge(u, v)
         return graph
 
     def _active_node_lists(self, store: NodeArrayStore) -> Tuple[List[Hashable], np.ndarray]:
@@ -996,16 +834,6 @@ class Network:
         graph.add_edges_from(linkstate.directed_arcs(active_rows))
         return graph
 
-    def _directed_from_linkstate(self, linkstate: LinkStateCache) -> nx.DiGraph:
-        """Directed snapshot from cached links — zero link re-tests."""
-        active = self.active_nodes()
-        graph = nx.DiGraph()
-        graph.add_nodes_from(n for n in self._positions if n in active)
-        for u in graph:
-            graph.add_edges_from((u, v) for v in linkstate.out_neighbors_sorted(u)
-                                 if v in active)
-        return graph
-
     def _directed_snapshot(self) -> nx.DiGraph:
         """Current directed-link graph, rebuilt only when the stamp is stale."""
         key = self._cache_key()
@@ -1013,10 +841,7 @@ class Network:
             return self._directed_cache
         linkstate = self._link_state()
         if linkstate is not None:
-            if type(linkstate) is ArrayLinkState:
-                graph = self._directed_from_arraystate(linkstate)
-            else:
-                graph = self._directed_from_linkstate(linkstate)
+            graph = self._directed_from_arraystate(linkstate)
             self._directed_cache = graph
             self._directed_cache_key = key
             return graph
@@ -1065,26 +890,22 @@ class Network:
     def neighbors_of(self, node_id: Hashable) -> Set[Hashable]:
         """Symmetric neighbours of ``node_id`` in the current snapshot.
 
-        Served straight from the link-state cache when available — O(degree)
+        Served straight from the CSR link state when available — O(degree)
         per query, no graph construction; a warm symmetric snapshot is reused
         otherwise.
         """
         linkstate = self._link_state()
         if linkstate is not None:
-            # The cache mirrors the process table, so membership is settled by
-            # the process lookup alone.
-            processes = self._processes
-            proc = processes.get(node_id)
+            # The store mirrors the process table, so membership is settled
+            # by the process lookup alone.
+            proc = self._processes.get(node_id)
             if proc is None or not proc._active:
                 return set()
-            if type(linkstate) is ArrayLinkState:
-                store = linkstate.store
-                rows = linkstate.out_rows(node_id)
-                if rows.size:
-                    rows = rows[store.active[rows]]
-                return set(store.ids[rows].tolist()) if rows.size else set()
-            return {w for w in linkstate.symmetric_neighbors(node_id)
-                    if processes[w]._active}
+            store = linkstate.store
+            rows = linkstate.out_rows(node_id)
+            if rows.size:
+                rows = rows[store.active[rows]]
+            return set(store.ids[rows].tolist()) if rows.size else set()
         graph = self._symmetric_snapshot()
         if node_id not in graph:
             return set()

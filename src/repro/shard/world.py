@@ -68,8 +68,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.messages import GRPMessage
 from repro.mobility.churn import ChurnEvent, ChurnSchedule
 from repro.net.channel import CollisionChannel, LossyChannel, PerfectChannel
@@ -106,7 +104,7 @@ class ShardSpec:
 
     A pure value object: every worker process reconstructs its world from
     this spec alone, so the spec must capture everything the single-process
-    run would configure (scenario, backend flags, churn, traffic).
+    run would configure (scenario, reference switch, churn, traffic).
     """
 
     scenario: str
@@ -114,10 +112,8 @@ class ShardSpec:
     seed: int
     duration: float
     shards: int = 1
-    use_spatial_index: bool = True
-    vectorized_delivery: bool = True
-    array_state: bool = True
-    incremental_csr: bool = True
+    #: Run every shard on the network's brute-force reference scan.
+    reference: bool = False
     churn: Tuple[Tuple[float, Hashable, bool], ...] = ()
     traffic: Optional[Tuple[str, Tuple[Tuple[str, object], ...]]] = None
     traffic_seed: Optional[int] = None
@@ -129,8 +125,7 @@ class ShardSpec:
     @classmethod
     def create(cls, scenario: str, *, seed: int, duration: float, shards: int = 1,
                params: Optional[Dict[str, object]] = None,
-               use_spatial_index: bool = True, vectorized_delivery: bool = True,
-               array_state: bool = True, incremental_csr: bool = True, churn=(),
+               reference: bool = False, churn=(),
                traffic: Optional[str] = None,
                traffic_params: Optional[Dict[str, object]] = None,
                traffic_seed: Optional[int] = None,
@@ -149,10 +144,7 @@ class ShardSpec:
         return cls(scenario=str(scenario),
                    params=tuple(sorted((params or {}).items())),
                    seed=int(seed), duration=float(duration), shards=int(shards),
-                   use_spatial_index=bool(use_spatial_index),
-                   vectorized_delivery=bool(vectorized_delivery),
-                   array_state=bool(array_state),
-                   incremental_csr=bool(incremental_csr),
+                   reference=bool(reference),
                    churn=tuple(churn_rows),
                    traffic=traffic_value, traffic_seed=traffic_seed,
                    fingerprint=bool(fingerprint))
@@ -194,10 +186,6 @@ class ShardNetwork(Network):
         #: only): their broadcasts take the untouched stock path, so the
         #: ownership dispatch taxes only the halo band.
         self._shard_interior = interior
-        #: int32 owner id per store row (lazy; nulled on membership changes) —
-        #: lets halo broadcasts partition receivers with one array gather
-        #: instead of a dict lookup per receiver.
-        self._shard_owner_rows: Optional[Any] = None
         # Halo-vs-interior send split for the observatory.  ``_obs`` was
         # re-captured by the finalizer just before this call, so the handles
         # land in the worker's own context.
@@ -206,25 +194,6 @@ class ShardNetwork(Network):
                                 if obs else None)
         self._obs_interior_sends = (obs.registry.counter("shard.interior_sends")
                                     if obs else None)
-
-    def add_node(self, process, position) -> None:
-        self._shard_owner_rows = None
-        super().add_node(process, position)
-
-    def remove_node(self, node_id: Hashable):
-        self._shard_owner_rows = None
-        return super().remove_node(node_id)
-
-    def _owner_rows_array(self):
-        """Owner ids aligned to the node store's rows (int32, cached)."""
-        store = self._store
-        arr = self._shard_owner_rows
-        if arr is None or arr.shape[0] != store.n:
-            owner, me = self._shard_owner, self._shard_id
-            arr = np.fromiter((owner.get(nid, me) for nid in store.ids[:store.n]),
-                              dtype=np.int32, count=store.n)
-            self._shard_owner_rows = arr
-        return arr
 
     # ------------------------------------------------------------------ churn
 
@@ -255,8 +224,7 @@ class ShardNetwork(Network):
             self.trace.record(now, "send", sender=sender)
         linkstate = self._link_state() if self._det_vicinity else None
         if linkstate is not None:
-            receivers, _procs, _procs_arr, rows = self._receiver_batch(
-                linkstate, sender)
+            receivers, _procs = self._receiver_batch(linkstate, sender)
             if not receivers:
                 return 0
             # Always the boxed batch decision: its RNG consumption equals the
@@ -265,9 +233,6 @@ class ShardNetwork(Network):
             # dispatch needs.  (decide_batch_fast consumes the RNG
             # identically, so the shards=1 reference stays bit-compatible.)
             batch = self.channel.decide_batch(sender, receivers, now)
-            if rows is not None and self.trace is None:
-                return self._shard_dispatch_fast(sender, payload, receivers,
-                                                 rows, batch, now)
             return self._shard_dispatch(sender, payload, receivers,
                                         batch.delivered, batch.delays,
                                         batch.reasons, now)
@@ -340,75 +305,6 @@ class ShardNetwork(Network):
                 proc.deliver(sender, payload)
             else:
                 schedule(delay, self._deliver, sender, receiver, payload)
-        return accepted
-
-    def _shard_dispatch_fast(self, sender: Hashable, payload: Any,
-                             receivers: List[Hashable], rows: Any,
-                             batch: Any, now: float) -> int:
-        """Mask-partitioned ownership dispatch for array-backed receiver sets.
-
-        Bit-identical to :meth:`_shard_dispatch` under the caller's
-        ``trace is None`` gate: drops consume no event seqs (bulk-counted),
-        outbox appends consume no seqs either (hoistable ahead of the local
-        interleave, and kept in receiver order so the coordinator's stable
-        sort sees the scalar sequence), and when every local delay is
-        positive the locals go through ``schedule_many`` — contiguous seqs
-        identical to the scalar loop's consecutive ``schedule`` calls.  Any
-        zero-delay local falls back to the per-index loop, which *is* the
-        scalar loop restricted to local receivers.
-        """
-        delivered, delays = batch.delivered, batch.delays
-        accepted = batch.n_accepted
-        if accepted is None:
-            accepted = batch.accepted()
-        n = len(receivers)
-        obs = self._obs
-        dropped = n - accepted
-        if dropped:
-            self.messages_dropped += dropped
-            if obs is not None:
-                self._obs_dropped.inc(dropped)
-        if accepted == 0:
-            return 0
-        if accepted == n:
-            didx = np.arange(n)
-        elif batch.delivered_array is not None:
-            didx = np.flatnonzero(batch.delivered_array)
-        else:
-            didx = np.flatnonzero(np.fromiter(delivered, dtype=bool, count=n))
-        owner_rows = self._owner_rows_array()
-        remote_mask = owner_rows[rows[didx]] != self._shard_id
-        if remote_mask.any():
-            outbox = self._shard_outbox
-            for i in didx[remote_mask].tolist():
-                outbox.append((now + delays[i], sender, receivers[i], payload))
-            local_idx = didx[~remote_mask]
-        else:
-            local_idx = didx
-        local_list = local_idx.tolist()
-        if not local_list:
-            return accepted
-        if not batch.zero_delay and min(delays[i] for i in local_list) > 0:
-            self.sim.schedule_many(
-                [delays[i] for i in local_list], self._deliver,
-                [(sender, receivers[i], payload) for i in local_list])
-            return accepted
-        processes = self._processes
-        schedule = self.sim.schedule
-        deliver = self._deliver
-        for i in local_list:
-            delay = delays[i]
-            receiver = receivers[i]
-            if delay <= 0:
-                proc = processes.get(receiver)
-                if proc is None or not proc._active:
-                    continue
-                self.messages_delivered += 1
-                if obs is not None:
-                    self._obs_delivered.inc()
-                proc.deliver(sender, payload)
-            else:
-                schedule(delay, deliver, sender, receiver, payload)
         return accepted
 
 
@@ -487,10 +383,7 @@ class ShardWorld:
             raise ShardUnsupportedError(
                 f"cannot shard a {type(network).__name__}; only the stock Network "
                 "supports the ownership rebind")
-        network.use_spatial_index = spec.use_spatial_index
-        network.vectorized_delivery = spec.vectorized_delivery
-        network.array_state = spec.array_state
-        network.incremental_csr = spec.incremental_csr
+        network.reference = spec.reference
 
         lookahead = ShardWorld._swap_channel(network, spec.seed)
 

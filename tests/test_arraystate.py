@@ -73,7 +73,7 @@ class TestNodeArrayStore:
         assert store.ids[0] == 2
         assert store.procs[0] == "proc-2"
         # Vacated tail releases its object references.
-        assert store.ids[2] is None and store.procs[2] is None
+        assert store.ids[2] is None and len(store.procs) == 2
 
     def test_remove_last_row(self):
         store = make_store([(0.0, 0.0), (1.0, 1.0)])
@@ -185,13 +185,13 @@ class TestArrayLinkStateExactness:
         points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
         store = make_store(points)
         ls = ArrayLinkState(10.0, store)
-        ids, procs = ls.active_receivers(0, token=1)
+        ids, rows = ls.active_receivers(0, token=1)
         assert ids == [1, 2, 3]  # insertion order
-        assert list(procs) == ["proc-1", "proc-2", "proc-3"]
+        assert [store.procs[r] for r in rows] == ["proc-1", "proc-2", "proc-3"]
         store.set_active(2, False)
-        ids, procs = ls.active_receivers(0, token=2)  # new token -> refilter
+        ids, rows = ls.active_receivers(0, token=2)  # new token -> refilter
         assert ids == [1, 3]
-        assert list(procs) == ["proc-1", "proc-3"]
+        assert [store.procs[r] for r in rows] == ["proc-1", "proc-3"]
         # Same token serves the cached filtered view.
         ids_again, _ = ls.active_receivers(0, token=2)
         assert ids_again == [1, 3]
@@ -203,12 +203,13 @@ class TestArrayLinkStateExactness:
 class TestIncrementalPatchEquivalence:
     """The incremental CSR patch must be *byte*-identical to a full rebuild.
 
-    Mirrors ``tests/test_linkstate.py``'s randomized delta-sequence test for
-    the dict cache: after every batch of row moves, the patched ``_indptr``/
-    ``_indices`` arenas must equal those a fresh full rebuild produces —
-    same arcs, same receiver order, same dtypes — including coincident
-    points, nodes exactly at range and cell-edge placements, and moves that
-    leave the cached binning's occupied area entirely.
+    Complements ``tests/test_linkstate.py``'s randomized delta-sequence test
+    of the network's link state: after every batch of row moves, the patched
+    ``_indptr``/``_indices`` arenas must equal those a fresh full rebuild
+    (``incremental=False``, the reference) produces — same arcs, same
+    receiver order, same dtypes — including coincident points, nodes exactly
+    at range and cell-edge placements, and moves that leave the cached
+    binning's occupied area entirely.
     """
 
     R = 60.0
@@ -351,7 +352,7 @@ class TestIncrementalPatchEquivalence:
 class TestNetworkArrayBackend:
     def build(self, n=30, r=120.0, seed=5, area=400.0):
         sim = Simulator(seed=seed)
-        network = Network(sim, radio=UnitDiskRadio(r), array_state=True)
+        network = Network(sim, radio=UnitDiskRadio(r))
         rng = np.random.default_rng(seed)
         for i in range(n):
             network.add_node(Idle(i), (float(rng.uniform(0, area)),
@@ -362,12 +363,11 @@ class TestNetworkArrayBackend:
         network = self.build()
         assert isinstance(network._link_state(), ArrayLinkState)
 
-    def test_neighbors_match_dict_backend(self):
+    def test_neighbors_match_reference(self):
         fast = self.build()
         slow = self.build()
-        slow.array_state = False
-        assert slow._link_state() is not None
-        assert not isinstance(slow._link_state(), ArrayLinkState)
+        slow.reference = True
+        assert slow._link_state() is None
         for node in fast.node_ids:
             assert fast.neighbors_of(node) == slow.neighbors_of(node)
         assert set(fast.topology().edges) == set(slow.topology().edges)

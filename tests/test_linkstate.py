@@ -1,13 +1,17 @@
-"""Randomized equivalence of incremental link-state maintenance vs rebuild.
+"""Randomized equivalence of the network's link state vs brute force.
 
-The :class:`repro.net.linkstate.LinkStateCache` patches only the links of the
-nodes a delta touches; its one correctness obligation is that after *any*
-sequence of moves, insertions, removals, churn and radio mutations, the stored
-directed edge set is identical to a from-scratch recomputation over the
-current positions.  These tests drive a network through long randomized delta
-sequences (with several radios, densities and seeds) and compare the cache
-against a brute-force rebuild after every step — including the reverse
-adjacency and the sorted-candidate view the broadcast path consumes.
+Radios with a uniform link radius are served from the CSR
+:class:`repro.net.arraystate.ArrayLinkState`, which is patched or rebuilt
+lazily after every delta; its one correctness obligation is that after *any*
+sequence of moves, insertions, removals, churn and radio mutations, the
+stored directed edge set is identical to a from-scratch recomputation over
+the current positions.  Radios without one (per-node ranges) have no link
+state: their snapshots and neighbour queries come from the grid-indexed scan
+and must equal the same brute-force recomputation, as must every query of a
+``reference=True`` network.  These tests drive a network through long
+randomized delta sequences (with several radios, densities and seeds, on the
+fast path and on the reference) and compare against brute force after every
+step.
 """
 
 import numpy as np
@@ -24,9 +28,10 @@ class Idle(Process):
         pass
 
 
-def brute_force_arcs(network):
-    """Directed link set recomputed from scratch (all nodes, active or not)."""
-    nodes = list(network.node_ids)
+def brute_force_arcs(network, active_only=False):
+    """Directed link set recomputed from scratch (all nodes, or active ones)."""
+    nodes = [n for n in network.node_ids
+             if not active_only or network.process(n).active]
     positions = network.positions
     radio = network.radio
     arcs = set()
@@ -41,23 +46,33 @@ def cache_arcs(cache):
     return set(cache.arcs())
 
 
-def assert_cache_consistent(network):
-    """Cache ≡ rebuild, forward ≡ reverse adjacency, sorted view ≡ out-set."""
-    cache = network._link_state()
-    assert cache is not None
-    expected = brute_force_arcs(network)
-    assert cache_arcs(cache) == expected
-    reverse = {(u, v) for v in network.node_ids for u in cache.in_neighbors(v)}
-    assert reverse == expected
+def assert_scan_consistent(network):
+    """Snapshots and neighbour queries ≡ brute force over active nodes."""
+    arcs = brute_force_arcs(network, active_only=True)
+    edges = {frozenset(a) for a in arcs if (a[1], a[0]) in arcs}
+    assert set(network.directed_topology().edges) == arcs
+    assert {frozenset(e) for e in network.topology().edges} == edges
     for u in network.node_ids:
-        assert set(cache.out_neighbors_sorted(u)) == set(cache.out_neighbors(u))
-        orders = [network._order[v] for v in cache.out_neighbors_sorted(u)]
+        expected = {v for v in network.node_ids if frozenset((u, v)) in edges}
+        assert network.neighbors_of(u) == expected
+
+
+def assert_cache_consistent(network):
+    """Link state ≡ rebuild and sorted by insertion order; scans ≡ brute force."""
+    cache = network._link_state()
+    if cache is None:
+        assert network.reference or network.radio.uniform_link_radius() is None
+        assert_scan_consistent(network)
+        return
+    assert cache_arcs(cache) == brute_force_arcs(network)
+    for u in network.node_ids:
+        orders = cache.store.order[cache.out_rows(u)].tolist()
         assert orders == sorted(orders)
 
 
-def build_network(radio, n, area, seed, array_state=True):
+def build_network(radio, n, area, seed, reference=False):
     sim = Simulator(seed=seed)
-    network = Network(sim, radio=radio, array_state=array_state)
+    network = Network(sim, radio=radio, reference=reference)
     rng = np.random.default_rng(seed)
     for i in range(n):
         network.add_node(Idle(i), (rng.uniform(0, area), rng.uniform(0, area)))
@@ -71,13 +86,12 @@ RADIOS = [
 ]
 
 
-@pytest.mark.parametrize("array_state", [True, False],
-                         ids=["array", "dict"])
+@pytest.mark.parametrize("reference", [False, True], ids=["array", "reference"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("radio_factory", RADIOS)
-def test_randomized_delta_sequence_matches_rebuild(radio_factory, seed, array_state):
+def test_randomized_delta_sequence_matches_rebuild(radio_factory, seed, reference):
     network, rng = build_network(radio_factory(), n=40, area=600.0, seed=seed,
-                                 array_state=array_state)
+                                 reference=reference)
     assert_cache_consistent(network)
     next_id = 40
     for step in range(60):
@@ -124,12 +138,15 @@ def test_radio_mutation_forces_rebuild():
 def test_asymmetric_range_override_rebuilds():
     radio = AsymmetricRangeRadio(90.0)
     network, _ = build_network(radio, n=25, area=400.0, seed=13)
+    assert network._link_state() is not None  # uniform until a range is set
     assert_cache_consistent(network)
     radio.set_range(0, 400.0)  # non-uniform growth: node 0 reaches everyone
-    cache = network._link_state()
-    assert all(cache.has_arc(0, v) for v in network.node_ids if v != 0)
+    assert network._link_state() is None
+    assert all(network.directed_topology().has_edge(0, v)
+               for v in network.node_ids if v != 0)
     assert_cache_consistent(network)
     radio.clear_range(0)
+    assert network._link_state() is not None
     assert_cache_consistent(network)
 
 
@@ -143,18 +160,18 @@ def test_symmetric_neighbors_match_topology():
     for node in network.node_ids:
         assert network.neighbors_of(node) == (
             set(graph.neighbors(node)) if node in graph else set())
-    # symmetric_neighbors is activity-blind; neighbors_of filters activity.
+    # The link state is activity-blind; neighbors_of filters activity.
     for node in network.node_ids:
-        sym = set(cache.symmetric_neighbors(node))
+        sym = set(cache.store.ids[cache.out_rows(node)].tolist())
         assert {w for w in sym if network.process(w).active
                 and network.process(node).active} == network.neighbors_of(node)
 
 
 def test_cache_disabled_paths_still_agree():
-    """vectorized_delivery=False serves identical snapshots via the scan path."""
+    """reference=True serves identical snapshots via the brute-force scan."""
     fast, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
     slow, _ = build_network(UnitDiskRadio(130.0), n=30, area=500.0, seed=21)
-    slow.vectorized_delivery = False
+    slow.reference = True
     assert slow._link_state() is None
     assert set(fast.topology().edges) == set(slow.topology().edges)
     assert set(fast.directed_topology().edges) == set(slow.directed_topology().edges)

@@ -416,39 +416,31 @@ class TestCustomRadioContract:
 class TestVectorizedToggle:
     def test_disabling_drops_linkstate_maintenance(self):
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        network.broadcast("a", "x")  # builds the (array) link-state cache
-        assert network._array_ls is not None
-        network.vectorized_delivery = False
-        # scan path pays zero maintenance on either backend
-        assert network._array_ls is None and network._linkstate is None
+        network.broadcast("a", "x")  # builds the store and the CSR link state
+        assert network._array_ls is not None and network._store is not None
+        generation = network.topology_generation
+        network.reference = True
+        # the reference scan pays zero maintenance: no grid, store or CSR
+        assert network._array_ls is None and network._store is None
+        assert network._index is None
+        assert network.topology_generation > generation
         network.set_position("a", (1, 0))  # must not touch a dead cache
         assert network.neighbors_of("a") == {"b"}
-        network.vectorized_delivery = True
-        assert network.broadcast("a", "y") == 1  # rebuilt on demand
-
-    def test_disabling_drops_dict_linkstate_too(self):
-        sim, network = build_network({"a": (0, 0), "b": (5, 0)})
-        network.array_state = False
-        network.broadcast("a", "x")  # builds the dict link-state cache
-        assert network._linkstate is not None
-        network.vectorized_delivery = False
-        assert network._linkstate is None
-        network.set_position("a", (1, 0))
-        assert network.neighbors_of("a") == {"b"}
-        network.vectorized_delivery = True
         assert network.broadcast("a", "y") == 1
+        assert network._array_ls is None and network._store is None
+        assert network._index is None
+        network.reference = False
+        assert network.broadcast("a", "z") == 1  # rebuilt on demand
+        assert network._array_ls is not None and network._store is not None
 
-    def test_disabling_array_state_falls_back_to_dict_cache(self):
+    def test_setting_the_same_value_keeps_caches(self):
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
         network.broadcast("a", "x")
-        assert network._array_ls is not None
-        network.array_state = False
-        assert network._array_ls is None and network._store is None
-        assert network.broadcast("a", "y") == 1  # dict cache built on demand
-        assert network._linkstate is not None
-        network.array_state = True  # store rebuilt from the node table
-        assert network.neighbors_of("a") == {"b"}
-        assert network._store is not None
+        linkstate = network._array_ls
+        generation = network.topology_generation
+        network.reference = False
+        assert network._array_ls is linkstate
+        assert network.topology_generation == generation
 
 
 class TestInPlaceMobilityModels:
@@ -481,9 +473,35 @@ class TestInPlaceMobilityModels:
         sim, network = build_network({"a": (0, 0), "b": (5, 0)})
         network.broadcast("a", "x")
         assert network._array_ls is not None
-        network.use_spatial_index = False
-        assert network._array_ls is None and network._linkstate is None
+        network.reference = True
+        assert network._array_ls is None and network._index is None
         network.set_position("a", (1, 0))  # brute baseline: no upkeep
         assert network.neighbors_of("a") == {"b"}
-        network.use_spatial_index = True
+        network.reference = False
         assert network.broadcast("a", "y") == 1
+
+
+class TestGarbageCollection:
+    """A finished deployment must be collectable once the caller drops it.
+
+    Every process references its network, so the store and the receiver
+    cache close a reference cycle back to the processes; the cyclic
+    collector only frees it when no numpy object array (which it does not
+    traverse) holds a process.
+    """
+
+    def test_finished_deployment_is_collected(self):
+        import gc
+        import weakref
+
+        from repro.scenarios import ScenarioSpec, build
+
+        deployment = build(ScenarioSpec.create("manet_waypoint", n=50), seed=1)
+        deployment.run(1.0)
+        assert deployment.network._array_ls is not None
+        assert deployment.network.messages_delivered > 0
+        network = weakref.ref(deployment.network)
+        node = weakref.ref(next(iter(deployment.nodes.values())))
+        del deployment
+        gc.collect()
+        assert network() is None and node() is None

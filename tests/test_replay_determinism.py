@@ -1,15 +1,16 @@
-"""Deterministic replay at scale, across every neighbour/delivery backend.
+"""Deterministic replay at scale: the fast path against the reference.
 
-The spatial index and the vectorized delivery pipeline (link-state receiver
-lists + batched channel decisions + bulk scheduling) are pure query/dispatch
-optimizations: a seeded run must unfold *identically* whether neighbour
-queries go through the grid or the brute-force scan, whether broadcasts
-take the batched fast path or the per-receiver loop, and whether the state
-behind them is the contiguous array store (SoA positions + CSR link-state)
-or the dict-based incremental cache.  These tests run a
-500-node mobile lossy GRP deployment once per backend combination and require
-bit-identical event counts, message counters, group assignments, topology
-edges and metric reports across all of them (plus a same-seed rerun).
+The network's fast path (array store + CSR link state, batched channel
+decisions, bulk scheduling) is a pure query/dispatch optimization: a seeded
+run must unfold *identically* on it and on the brute-force all-nodes scan
+(``Network.reference``).  These tests run a 500-node mobile lossy GRP
+deployment on both and require bit-identical event counts, message counters,
+group assignments, topology edges, metric reports and post-run RNG states
+(plus a same-seed rerun).  Two more cells run the fast path with the
+network's trace recorder detached — the only configuration that reaches the
+channel's zero-delay hook and the direct ``on_message`` dispatch — and on a
+radio that reports no range bound, where the fast path must degrade to the
+brute-force scan without a visible seam.
 
 The traffic-laden variant layers an application workload
 (:mod:`repro.traffic`) on top of a smaller deployment: application sends,
@@ -20,35 +21,64 @@ protocol or the traffic subsystem — shows up as a ledger or counter mismatch.
 
 import pytest
 
-from repro.experiments.scenarios import manet_waypoint
 from repro.metrics.overhead import overhead_summary
 from repro.mobility.churn import ChurnEvent, ChurnSchedule
+from repro.net.radio import UnitDiskRadio
 from repro.obs import ObsContext, observing
+from repro.scenarios import ScenarioSpec, build
 from repro.traffic import TrafficSpec, attach_traffic
 
 N = 500
 DURATION = 3.0
 SEED = 2024
 
-#: (use_spatial_index, vectorized_delivery, array_state, incremental_csr)
-#: backend combinations.  The vectorized pipeline sits on top of the index,
-#: so (False, True, *, *) degrades to the scan path — included to prove the
-#: degradation is seamless.  The array axis pins the SoA/CSR backend against
-#: the dict-based incremental cache (and against the scalar scan) on the
-#: same seeds: the reference combination serves receiver batches from
-#: :class:`ArrayLinkState`, the ``dictstate`` one from
-#: :class:`LinkStateCache`, and both must replay bit-identically.  The
-#: ``nopatch`` cell disables the incremental CSR patch so every topology
-#: refresh is a full rebuild — any divergence convicts the patch path.
+#: cell -> (Network.reference, keep the trace recorder attached, radio
+#: reports its range bound).  ``fast`` is the fingerprint every other cell
+#: must reproduce.  ``brute+scalar`` is the reference: the all-nodes scan with
+#: one channel decision per receiver.  ``brute+vectorized-degraded`` leaves
+#: the fast path switched on but hides the radio's range bound, so no grid
+#: and no CSR link state can be built and every broadcast degrades to the
+#: brute-force scan.  ``untraced`` detaches the trace recorder, which unlocks
+#: the zero-delay fast hook (``decide_batch_fast``) and the direct
+#: ``on_message`` dispatch.
 BACKENDS = {
-    "indexed+vectorized": (True, True, True, True),
-    "indexed+vectorized+nopatch": (True, True, True, False),
-    "indexed+vectorized+dictstate": (True, True, False, True),
-    "indexed+scalar": (True, False, True, True),
-    "indexed+scalar+dictstate": (True, False, False, True),
-    "brute+scalar": (False, False, False, True),
-    "brute+vectorized-degraded": (False, True, True, True),
+    "fast": (False, True, True),
+    "brute+scalar": (True, True, True),
+    "brute+vectorized-degraded": (False, True, False),
+    "untraced": (False, False, True),
 }
+
+
+class UnboundedUnitDiskRadio(UnitDiskRadio):
+    """A unit disk that reports no range bound: same links, no spatial
+    structure (``Network`` builds neither the grid nor the CSR link state
+    for a radio whose ``max_range()`` is ``None``)."""
+
+    def max_range(self):
+        return None
+
+
+def configure(network, reference, traced, bounded):
+    """Switch ``network`` onto one replay cell before it runs."""
+    network.reference = reference
+    if not traced:
+        network.trace = None
+    if not bounded:
+        network.radio = UnboundedUnitDiskRadio(network.radio.radio_range)
+        network.invalidate_topology()
+
+
+def assert_degraded(network, bounded):
+    """An unbounded-radio cell must really have run on the brute-force scan;
+    otherwise it would only repeat the ``fast`` cell."""
+    if not bounded:
+        assert network._spatial_index() is None
+        assert network._link_state() is None
+
+
+def manet_waypoint(**params):
+    seed = params.pop("seed")
+    return build(ScenarioSpec.create("manet_waypoint", **params), seed=seed)
 
 
 def rng_fingerprint(deployment):
@@ -62,19 +92,16 @@ def rng_fingerprint(deployment):
     return states
 
 
-def run_once(use_spatial_index, vectorized_delivery, array_state=True,
-             incremental_csr=True):
+def run_once(reference=False, traced=True, bounded=True):
     deployment = manet_waypoint(n=N, area=1500.0, radio_range=100.0, dmax=3,
                                 speed=10.0, seed=SEED, loss_probability=0.05)
-    deployment.network.use_spatial_index = use_spatial_index
-    deployment.network.vectorized_delivery = vectorized_delivery
-    deployment.network.array_state = array_state
-    deployment.network.incremental_csr = incremental_csr
+    configure(deployment.network, reference, traced, bounded)
     churn = ChurnSchedule([ChurnEvent(time=1.0, node_id=i, active=False) for i in range(25)]
                           + [ChurnEvent(time=2.0, node_id=i, active=True) for i in range(25)])
     churn.install(deployment.network)
     deployment.run(DURATION)
     network = deployment.network
+    assert_degraded(network, bounded)
     graph = deployment.topology()
     return {
         "processed_events": deployment.sim.processed_events,
@@ -93,15 +120,14 @@ def runs():
     return {name: run_once(*flags) for name, flags in BACKENDS.items()}
 
 
-@pytest.mark.parametrize("backend", [name for name in BACKENDS
-                                     if name != "indexed+vectorized"])
+@pytest.mark.parametrize("backend", [name for name in BACKENDS if name != "fast"])
 def test_backends_replay_identically(runs, backend):
-    assert runs["indexed+vectorized"] == runs[backend], (
-        f"seeded 500-node run diverged between indexed+vectorized and {backend}")
+    assert runs["fast"] == runs[backend], (
+        f"seeded 500-node run diverged between fast and {backend}")
 
 
 def test_rerun_with_same_seed_is_identical(runs):
-    assert run_once(True, True, True, True) == runs["indexed+vectorized"]
+    assert run_once() == runs["fast"]
 
 
 def test_obs_enabled_replay_is_bit_identical(runs):
@@ -110,8 +136,8 @@ def test_obs_enabled_replay_is_bit_identical(runs):
     — deliveries, event counts, topology, and the post-run RNG states (the
     obs layer never consumes randomness)."""
     with observing(ObsContext()) as ctx:
-        observed = run_once(True, True, True, True)
-    assert observed == runs["indexed+vectorized"]
+        observed = run_once()
+    assert observed == runs["fast"]
     export = ctx.export()
     assert export["counters"]["sim.events"] == observed["processed_events"]
     assert export["counters"]["net.delivered"] == observed["delivered"]
@@ -119,7 +145,7 @@ def test_obs_enabled_replay_is_bit_identical(runs):
 
 
 def test_views_cover_all_active_nodes(runs):
-    views = runs["indexed+vectorized"]["views"]
+    views = runs["fast"]["views"]
     assert len(views) == N
     for node_id, view in views.items():
         assert node_id in view
@@ -133,14 +159,10 @@ TRAFFIC_N = 200
 TRAFFIC_DURATION = 8.0
 
 
-def run_traffic_once(use_spatial_index, vectorized_delivery, array_state=True,
-                     incremental_csr=True):
+def run_traffic_once(reference=False, traced=True, bounded=True):
     deployment = manet_waypoint(n=TRAFFIC_N, area=900.0, radio_range=100.0, dmax=3,
                                 speed=10.0, seed=SEED, loss_probability=0.05)
-    deployment.network.use_spatial_index = use_spatial_index
-    deployment.network.vectorized_delivery = vectorized_delivery
-    deployment.network.array_state = array_state
-    deployment.network.incremental_csr = incremental_csr
+    configure(deployment.network, reference, traced, bounded)
     driver = attach_traffic(
         deployment, TrafficSpec.create("request_reply", interval=1.0), seed=SEED)
     churn = ChurnSchedule([ChurnEvent(time=1.0, node_id=i, active=False)
@@ -150,6 +172,7 @@ def run_traffic_once(use_spatial_index, vectorized_delivery, array_state=True,
     churn.install(deployment.network)
     deployment.run(TRAFFIC_DURATION)
     network = deployment.network
+    assert_degraded(network, bounded)
     ledger = driver.ledger
     return {
         "processed_events": deployment.sim.processed_events,
@@ -171,20 +194,18 @@ def traffic_runs():
     return {name: run_traffic_once(*flags) for name, flags in BACKENDS.items()}
 
 
-@pytest.mark.parametrize("backend", [name for name in BACKENDS
-                                     if name != "indexed+vectorized"])
+@pytest.mark.parametrize("backend", [name for name in BACKENDS if name != "fast"])
 def test_traffic_backends_replay_identically(traffic_runs, backend):
-    assert traffic_runs["indexed+vectorized"] == traffic_runs[backend], (
-        f"seeded traffic run diverged between indexed+vectorized and {backend}")
+    assert traffic_runs["fast"] == traffic_runs[backend], (
+        f"seeded traffic run diverged between fast and {backend}")
 
 
 def test_traffic_rerun_with_same_seed_is_identical(traffic_runs):
-    assert (run_traffic_once(True, True, True, True)
-            == traffic_runs["indexed+vectorized"])
+    assert run_traffic_once() == traffic_runs["fast"]
 
 
 def test_traffic_actually_flowed(traffic_runs):
-    reference = traffic_runs["indexed+vectorized"]
+    reference = traffic_runs["fast"]
     assert reference["app_sent"] > 0
     assert reference["app_receptions"] > 0
     assert reference["replies"] > 0
@@ -192,45 +213,42 @@ def test_traffic_actually_flowed(traffic_runs):
 
 # ------------------------------------------------- sharded executor on top
 
-#: The sharded executor (:mod:`repro.shard`) joins the backend matrix as a
+#: The sharded executor (:mod:`repro.shard`) joins the replay matrix as a
 #: new axis: the same 500-node world, split across worker shards by spatial
 #: tile, must reproduce the ``shards=1`` fingerprint bit for bit — counters,
 #: views, edges, overhead report and the post-run RNG states (root sim
 #: stream + every per-sender channel stream).  The reference is the sharded
 #: engine at one shard: sharding swaps the global channel RNG for per-sender
 #: streams, so its fingerprint family is its own, anchored at k=1 where the
-#: whole run takes the stock single-process pipeline.
+#: whole run takes the stock single-process pipeline.  The ``reference``
+#: cell runs every shard on the brute-force scan, which exercises
+#: :class:`~repro.shard.ShardNetwork`'s per-receiver ownership loop.
 SHARD_CELLS = {
-    "2shards+arraystate+vectorized": (2, True, True, True),
-    "2shards+arraystate+nopatch": (2, True, True, False),
-    "2shards+dictstate+vectorized": (2, False, True, True),
-    "2shards+arraystate+scalar": (2, True, False, True),
-    "2shards+dictstate+scalar": (2, False, False, True),
-    "4shards+arraystate+vectorized": (4, True, True, True),
-    "4shards+dictstate+scalar": (4, False, False, True),
+    "2shards": (2, False),
+    "4shards": (4, False),
+    "2shards+reference": (2, True),
 }
 
 SHARD_CHURN = (tuple((1.0, i, False) for i in range(25))
                + tuple((2.0, i, True) for i in range(25)))
 
 
-def shard_spec(shards, array_state=True, vectorized=True, incremental=True):
+def shard_spec(shards, reference=False):
     from repro.shard import ShardSpec
 
     return ShardSpec.create(
         "manet_waypoint",
         params={"n": N, "area": 1500.0, "radio_range": 100.0, "dmax": 3,
                 "speed": 10.0, "loss_probability": 0.05},
-        seed=SEED, duration=DURATION, shards=shards,
-        array_state=array_state, vectorized_delivery=vectorized,
-        incremental_csr=incremental, churn=SHARD_CHURN)
+        seed=SEED, duration=DURATION, shards=shards, reference=reference,
+        churn=SHARD_CHURN)
 
 
-def run_sharded_once(shards, array_state=True, vectorized=True, incremental=True,
-                     transport="inproc", build="replicate"):
+def run_sharded_once(shards, reference=False, transport="inproc",
+                     build="replicate"):
     from repro.shard import run_sharded
 
-    result = run_sharded(shard_spec(shards, array_state, vectorized, incremental),
+    result = run_sharded(shard_spec(shards, reference),
                          transport=transport, build=build)
     return result.fingerprint, result.stats
 
@@ -243,9 +261,8 @@ def sharded_reference():
 
 @pytest.mark.parametrize("cell", list(SHARD_CELLS))
 def test_sharded_backends_replay_identically(sharded_reference, cell):
-    shards, array_state, vectorized, incremental = SHARD_CELLS[cell]
-    fingerprint, stats = run_sharded_once(shards, array_state, vectorized,
-                                          incremental)
+    shards, reference = SHARD_CELLS[cell]
+    fingerprint, stats = run_sharded_once(shards, reference)
     assert fingerprint == sharded_reference, (
         f"sharded 500-node run diverged between 1 shard and {cell}")
     # The split must be real: nodes crossing tile boundaries force actual
@@ -337,23 +354,20 @@ def test_sharded_traffic_actually_flowed(sharded_traffic_reference):
 
 # ------------------------------------- incremental CSR patch, engaged regime
 
-#: ``manet_waypoint`` moves every node every tick, so the matrix's
-#: ``nopatch`` cell above mostly proves the flag is harmless there (the
-#: dirty fraction exceeds the patch threshold and the refresh falls back to
-#: full rebuilds).  This section pins the patch path *while it is actually
+#: ``manet_waypoint`` moves every node every tick, so its dirty fraction
+#: exceeds the patch threshold and the CSR refresh falls back to full
+#: rebuilds.  This section pins the patch path *while it is actually
 #: running*: a scaled-down ``city_scale_mobile`` field, where only a sparse
-#: mover subset dirties rows each tick, must replay bit-identically with
-#: patching on and off — and the on-run must prove patches happened.
+#: mover subset dirties rows each tick, must replay bit-identically on the
+#: fast path and on the reference scan — and the fast run must prove patches
+#: happened.
 
 
-def run_sparse_mobile_once(incremental_csr):
-    from repro.scenarios.registry import build
-    from repro.scenarios.spec import ScenarioSpec
-
+def run_sparse_mobile_once(reference):
     deployment = build(ScenarioSpec.create(
         "city_scale_mobile", n=400, area=2000.0, hotspot_sigma=200.0,
         mover_fraction=0.02), seed=SEED)
-    deployment.network.incremental_csr = incremental_csr
+    deployment.network.reference = reference
     deployment.run(4.0)
     network = deployment.network
     linkstate = network._array_ls
@@ -370,12 +384,12 @@ def run_sparse_mobile_once(incremental_csr):
 
 
 def test_incremental_patch_replays_identically_when_engaged():
-    patched, patch_count = run_sparse_mobile_once(True)
-    rebuilt, rebuilt_patch_count = run_sparse_mobile_once(False)
+    patched, patch_count = run_sparse_mobile_once(False)
+    scanned, scanned_patch_count = run_sparse_mobile_once(True)
     assert patch_count > 0, "sparse-mover run never took the patch path"
-    assert rebuilt_patch_count == 0
-    assert patched == rebuilt, (
-        "sparse-mover run diverged between incremental CSR patch and full rebuild")
+    assert scanned_patch_count == 0
+    assert patched == scanned, (
+        "sparse-mover run diverged between incremental CSR patch and the reference")
 
 
 # ------------------------------------ observed sharded runs, bit-identical

@@ -1,7 +1,8 @@
-"""Equivalence suite for the spatial-index neighbour engine.
+"""Equivalence suite for the neighbour engine against the reference scan.
 
-The grid index must be *behaviourally invisible*: for every radio with a
-bounded range, the indexed network and the brute-force network must report
+The fast path (grid index, array store and CSR link state) must be
+*behaviourally invisible*: for every radio with a bounded range, the fast
+network and the ``reference=True`` brute-force network must report
 identical neighbour sets, identical topology snapshots and identical broadcast
 receiver sets — across random placements, mobility steps, churn, and the nasty
 geometric corner cases (nodes exactly on cell edges, exactly at radio range,
@@ -147,11 +148,11 @@ def random_placement(seed, r):
 
 
 def build_twins(positions, radio_factory, seed):
-    """Two identical networks, one indexed, one brute-force."""
+    """Two identical networks, one on the fast path, one on the reference."""
     nets = []
     for use_index in (True, False):
         sim = Simulator(seed=seed)
-        net = Network(sim, radio=radio_factory(), use_spatial_index=use_index)
+        net = Network(sim, radio=radio_factory(), reference=not use_index)
         for node, pos in positions.items():
             net.add_node(Recorder(node), pos)
         nets.append((sim, net))
@@ -226,7 +227,7 @@ def test_probabilistic_radio_equivalence():
         sim = Simulator(seed=5)
         radio = ProbabilisticDiskRadio(10.0, 25.0, band_probability=0.5,
                                        rng=np.random.default_rng(99))
-        net = Network(sim, radio=radio, use_spatial_index=use_index)
+        net = Network(sim, radio=radio, reference=not use_index)
         for node, pos in positions.items():
             net.add_node(Recorder(node), pos)
         for sender in net.node_ids:
@@ -247,7 +248,7 @@ def test_mobility_ghost_nodes_are_ignored(use_index):
 
     sim = Simulator(seed=0)
     net = Network(sim, radio=UnitDiskRadio(10.0), mobility=GhostMobility(),
-                  use_spatial_index=use_index)
+                  reference=not use_index)
     net.add_node(Recorder("a"), (0, 0))
     net.add_node(Recorder("b"), (3, 0))
     net.neighbors_of("a")  # force index build before the first mobility step
@@ -270,7 +271,7 @@ def test_unbounded_radio_falls_back_to_brute_force():
             return None
 
     sim = Simulator(seed=0)
-    net = Network(sim, radio=EverywhereRadio(), use_spatial_index=True)
+    net = Network(sim, radio=EverywhereRadio())
     for i in range(5):
         net.add_node(Recorder(i), (i * 1000.0, 0.0))
     assert net._spatial_index() is None
@@ -284,7 +285,7 @@ def test_unbounded_radio_falls_back_to_brute_force():
 class TestSnapshotCache:
     def build(self, use_index=True):
         sim = Simulator(seed=0)
-        net = Network(sim, radio=UnitDiskRadio(10.0), use_spatial_index=use_index)
+        net = Network(sim, radio=UnitDiskRadio(10.0), reference=not use_index)
         for node, pos in {"a": (0, 0), "b": (5, 0), "c": (50, 0)}.items():
             net.add_node(Recorder(node), pos)
         return sim, net
@@ -324,7 +325,7 @@ class TestSnapshotCache:
     def test_growing_asymmetric_range_is_observed(self):
         sim = Simulator(seed=0)
         radio = AsymmetricRangeRadio(10.0)
-        net = Network(sim, radio=radio, use_spatial_index=True)
+        net = Network(sim, radio=radio)
         net.add_node(Recorder("a"), (0, 0))
         net.add_node(Recorder("b"), (30, 0))
         assert net.neighbors_of("a") == set()
@@ -338,7 +339,7 @@ class TestSnapshotCache:
     def test_invalidate_topology_after_in_place_radio_mutation(self):
         sim = Simulator(seed=0)
         radio = AsymmetricRangeRadio(10.0, ranges={"a": 40.0, "b": 40.0})
-        net = Network(sim, radio=radio, use_spatial_index=True)
+        net = Network(sim, radio=radio)
         net.add_node(Recorder("a"), (0, 0))
         net.add_node(Recorder("b"), (30, 0))
         assert net.neighbors_of("a") == {"b"}

@@ -192,24 +192,20 @@ class TestDeliveryLedger:
 
 # ------------------------------------------------- live deployments, replay
 
-#: (use_spatial_index, vectorized_delivery) combinations; the vectorized
-#: pipeline needs the index, so (False, True) degrades to the scan path.
+#: cell -> ``Network.reference``: the fast path and the brute-force scan.
 BACKENDS = {
-    "indexed+vectorized": (True, True),
-    "indexed+scalar": (True, False),
-    "brute+scalar": (False, False),
-    "brute+vectorized-degraded": (False, True),
+    "fast": False,
+    "reference": True,
 }
 
 
-def traffic_fingerprint(traffic_name, use_spatial_index=True, vectorized_delivery=True,
-                        n=40, duration=4.0, traffic_seed=77):
+def traffic_fingerprint(traffic_name, reference=False, n=40, duration=4.0,
+                        traffic_seed=77):
     """Full observable state of one seeded traffic run (for equality checks)."""
     deployment = build(ScenarioSpec.create(
         "manet_waypoint", n=n, area=450.0, radio_range=110.0, dmax=3, speed=8.0,
         loss_probability=0.05), seed=33)
-    deployment.network.use_spatial_index = use_spatial_index
-    deployment.network.vectorized_delivery = vectorized_delivery
+    deployment.network.reference = reference
     driver = attach_traffic(deployment, TrafficSpec.create(traffic_name),
                             seed=traffic_seed)
     deployment.run(duration)
@@ -230,14 +226,13 @@ def traffic_fingerprint(traffic_name, use_spatial_index=True, vectorized_deliver
 class TestTrafficReplay:
     @pytest.mark.parametrize("traffic_name", ["request_reply", "state_sync"])
     def test_bit_identical_across_all_backends(self, traffic_name):
-        reference = traffic_fingerprint(traffic_name, *BACKENDS["indexed+vectorized"])
-        assert reference["app_sent"] > 0 and reference["app_receptions"] > 0
-        for name, flags in BACKENDS.items():
-            if name == "indexed+vectorized":
+        fast = traffic_fingerprint(traffic_name, BACKENDS["fast"])
+        assert fast["app_sent"] > 0 and fast["app_receptions"] > 0
+        for name, reference in BACKENDS.items():
+            if name == "fast":
                 continue
-            assert traffic_fingerprint(traffic_name, *flags) == reference, (
-                f"seeded {traffic_name} run diverged between "
-                f"indexed+vectorized and {name}")
+            assert traffic_fingerprint(traffic_name, reference) == fast, (
+                f"seeded {traffic_name} run diverged between fast and {name}")
 
     def test_same_seed_reruns_identically(self):
         assert (traffic_fingerprint("bursty_pubsub")
